@@ -71,92 +71,64 @@ func stableOracle(src *particle.Store[float64], n, cells int) *particle.Store[fl
 	return dst
 }
 
-// TestScatterMatchesStableOracle: shared-store scatter (tiled and
-// untiled) and the region scatter all reproduce the serial stable
-// counting sort exactly, for uneven source spans and region bounds that
-// do not align to the tile grid.
+// TestScatterMatchesStableOracle: both scatter paths reproduce the
+// serial stable counting sort exactly, at one and four workers. The
+// tiled grid lies above directMaxCells and its cell count leaves a
+// partial last block; the small element counts leave the last worker's
+// source span empty at four workers.
 func TestScatterMatchesStableOracle(t *testing.T) {
-	const (
-		n     = 5000
-		cells = 300
-		cap_  = 6000
-	)
-	src := particle.NewStore[float64](cap_)
-	fillStore(src, n, cells, 42)
-	want := stableOracle(src, n, cells)
-
-	pool := New(4)
-	planBounds := []int32{0, 1200, 1200, 3700, n} // one empty span
-	cellBounds := []int32{0, 50, 170, 171, cells} // off-tile cuts, near-empty region
-	for _, tile := range []int{1, 8, 64, cells, 4096} {
+	cases := []struct {
+		name  string
+		cells int
+		n     int
+		tiled bool
+	}{
+		{"direct", 300, 5000, false},
+		{"direct/empty-span", 300, 9, false},
+		{"tiled", directMaxCells + 100, 90000, true},
+		{"tiled/empty-span", directMaxCells + 100, 9, true},
+	}
+	for _, tc := range cases {
+		src := particle.NewStore[float64](tc.n)
+		fillStore(src, tc.n, tc.cells, 42)
+		want := stableOracle(src, tc.n, tc.cells)
 		cellOf := func(i int) int32 { return src.Cell[i] }
-
-		cs := NewCellSort[float64](pool, cells, tile, cap_)
-		cs.Plan(n, src.Cell, cellOf)
-		dst := particle.NewStore[float64](cap_)
-		cs.ScatterStore(src, dst)
-		if !storesEqual(want, dst, n) {
-			t.Errorf("tile=%d: ScatterStore diverges from the stable oracle", tile)
-		}
-
-		cs.PlanSpans(planBounds, src.Cell, cellOf)
-		dst2 := particle.NewStore[float64](cap_)
-		cs.ScatterStore(src, dst2)
-		if !storesEqual(want, dst2, n) {
-			t.Errorf("tile=%d: ScatterStore over uneven spans diverges from the stable oracle", tile)
-		}
-
-		cs.PlanSpans(planBounds, src.Cell, cellOf)
-		dst3 := particle.NewStore[float64](cap_)
-		cs.ScatterStoreRegions(src, dst3, cellBounds)
-		if !storesEqual(want, dst3, n) {
-			t.Errorf("tile=%d: ScatterStoreRegions diverges from the stable oracle", tile)
+		for _, workers := range []int{1, 4} {
+			cs := NewCellSort[float64](New(workers), tc.cells, tc.n)
+			if got := cs.bidx != nil; got != tc.tiled {
+				t.Fatalf("%s: tiled scatter = %v, want %v", tc.name, got, tc.tiled)
+			}
+			cs.Plan(tc.n, src.Cell, cellOf)
+			dst := particle.NewStore[float64](tc.n)
+			cs.ScatterStore(src, dst)
+			if !storesEqual(want, dst, tc.n) {
+				t.Errorf("%s workers=%d: ScatterStore diverges from the stable oracle", tc.name, workers)
+			}
 		}
 	}
 }
 
-// TestRegionScatterOrderIndependent forcibly perturbs the region
-// completion order: the bucket pass and then the per-region scatter
-// shards are invoked by hand, regions running serially in REVERSE order
-// (the most adversarial schedule a pool could produce). The result must
-// be bit-identical to the normal dispatch — the migrant buckets are
-// drained in (source-span, source-index) order by construction, and
-// each region writes a disjoint destination range, so completion order
-// cannot leak into the output.
-func TestRegionScatterOrderIndependent(t *testing.T) {
-	const (
-		n     = 4000
-		cells = 256
-		cap_  = 4500
-	)
-	src := particle.NewStore[float64](cap_)
-	fillStore(src, n, cells, 7)
-
-	pool := New(4)
-	planBounds := []int32{0, 900, 2100, 3999, n}
-	cellBounds := []int32{0, 31, 130, 200, cells}
-	cellOf := func(i int) int32 { return src.Cell[i] }
-
-	cs := NewCellSort[float64](pool, cells, 64, cap_)
-	cs.PlanSpans(planBounds, src.Cell, cellOf)
-	want := particle.NewStore[float64](cap_)
-	cs.ScatterStoreRegions(src, want, cellBounds)
-
-	// Re-plan (the scatter consumed the wfill cursors), then drive the
-	// shards by hand in reverse region order.
-	cs.PlanSpans(planBounds, src.Cell, cellOf)
-	got := particle.NewStore[float64](cap_)
-	cs.src, cs.dst = src, got
-	for w := 0; w < pool.Workers(); w++ {
-		cs.bucketShard(w, int(planBounds[w]), int(planBounds[w+1]))
-	}
-	for r := pool.Workers() - 1; r >= 0; r-- {
-		cs.regionScatterShard(r, int(cellBounds[r]), int(cellBounds[r+1]))
-	}
-	cs.src, cs.dst = nil, nil
-	got.SetLen(n)
-
-	if !storesEqual(want, got, n) {
-		t.Error("reverse region completion order changed the scattered store")
+// TestSortAllocationFree: a steady-state Plan/ScatterStore/Shuffle round
+// allocates nothing on either scatter path. The engine's Step tests run
+// grids below directMaxCells, so this pins the tiled path's bucket
+// buffers directly.
+func TestSortAllocationFree(t *testing.T) {
+	for _, cells := range []int{300, directMaxCells + 100} {
+		const n = 50000
+		src := particle.NewStore[float64](n)
+		fillStore(src, n, cells, 3)
+		dst := particle.NewStore[float64](n)
+		cs := NewCellSort[float64](New(4), cells, n)
+		cellOf := func(i int) int32 { return src.Cell[i] }
+		swap := func(i, j int) { dst.Swap(i, j) }
+		round := func() {
+			cs.Plan(n, src.Cell, cellOf)
+			cs.ScatterStore(src, dst)
+			cs.Shuffle(1, 2, swap)
+		}
+		round()
+		if avg := testing.AllocsPerRun(10, round); avg != 0 {
+			t.Errorf("cells=%d: sort round allocates %.2f times per call, want 0", cells, avg)
+		}
 	}
 }

@@ -21,11 +21,10 @@ func allocConfig() Config {
 // allocations in either storage precision — the sort scatters into the
 // pre-allocated shadow store, all shard closures are prebuilt, per-worker
 // scratch is pre-sized, and the reservoir is capacity-bounded.
-func testStepAllocationFree[F kernel.Float](t *testing.T, workers int, regions bool) {
+func testStepAllocationFree[F kernel.Float](t *testing.T, workers int) {
 	t.Helper()
 	cfg := allocConfig()
 	cfg.Workers = workers
-	cfg.Regions = regions
 	s, err := NewOf[F](cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -38,19 +37,13 @@ func testStepAllocationFree[F kernel.Float](t *testing.T, workers int, regions b
 	}
 }
 
-func TestStepAllocationFree(t *testing.T)       { testStepAllocationFree[float64](t, 4, false) }
-func TestStepAllocationFreeSerial(t *testing.T) { testStepAllocationFree[float64](t, 1, false) }
+func TestStepAllocationFree(t *testing.T)       { testStepAllocationFree[float64](t, 4) }
+func TestStepAllocationFreeSerial(t *testing.T) { testStepAllocationFree[float64](t, 1) }
 
 // The float32 instantiation runs the same engine, so the guarantee must
 // carry over unchanged.
-func TestStepAllocationFreeFloat32(t *testing.T)       { testStepAllocationFree[float32](t, 4, false) }
-func TestStepAllocationFreeFloat32Serial(t *testing.T) { testStepAllocationFree[float32](t, 1, false) }
-
-// The spatially-blocked mode adds the bucket pass and the per-step
-// region rebalance; both work entirely in pre-sized buffers, so the
-// zero-allocation guarantee must hold there too.
-func TestStepAllocationFreeRegions(t *testing.T)        { testStepAllocationFree[float64](t, 4, true) }
-func TestStepAllocationFreeRegionsFloat32(t *testing.T) { testStepAllocationFree[float32](t, 4, true) }
+func TestStepAllocationFreeFloat32(t *testing.T)       { testStepAllocationFree[float32](t, 4) }
+func TestStepAllocationFreeFloat32Serial(t *testing.T) { testStepAllocationFree[float32](t, 1) }
 
 // TestCellMajorInvariant: after a step the store must be physically
 // cell-major — Cell non-decreasing, spans matching CellStart, and every

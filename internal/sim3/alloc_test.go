@@ -10,11 +10,10 @@ import (
 // be allocation-free in either storage precision; the config crosses
 // par's serial cutoff in both shard dimensions (2560 cells, ~20k
 // particles) so the concurrent dispatch path is the one measured.
-func testStepAllocationFree3D[F kernel.Float](t *testing.T, regions bool) {
+func testStepAllocationFree3D[F kernel.Float](t *testing.T) {
 	t.Helper()
 	cfg := detConfig()
 	cfg.Workers = 4
-	cfg.Regions = regions
 	s, err := NewOf[F](cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -25,11 +24,8 @@ func testStepAllocationFree3D[F kernel.Float](t *testing.T, regions bool) {
 	}
 }
 
-func TestStepAllocationFree3D(t *testing.T)        { testStepAllocationFree3D[float64](t, false) }
-func TestStepAllocationFree3DFloat32(t *testing.T) { testStepAllocationFree3D[float32](t, false) }
-
-// The spatially-blocked mode must also stay allocation-free.
-func TestStepAllocationFree3DRegions(t *testing.T) { testStepAllocationFree3D[float64](t, true) }
+func TestStepAllocationFree3D(t *testing.T)        { testStepAllocationFree3D[float64](t) }
+func TestStepAllocationFree3DFloat32(t *testing.T) { testStepAllocationFree3D[float32](t) }
 
 // TestCellMajorInvariant3D: after a step the 3D store must be physically
 // cell-major and each cell index consistent with the particle's position.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -253,6 +254,30 @@ func TestScenarioSpecRoundTrip(t *testing.T) {
 	// Unknown kinds are rejected.
 	if _, err := (dsmc.ScenarioSpec{Kind: "warp-drive"}).Scenario(); err == nil {
 		t.Error("unknown scenario kind accepted")
+	}
+
+	// Unknown params fields are rejected with an error naming the field.
+	// The fixture holds specs as older trees serialised them, with keys
+	// of since-removed fields.
+	raw, err := os.ReadFile("testdata/removed-params-specs.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old []dsmc.ScenarioSpec
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range old {
+		var params map[string]any
+		if err := json.Unmarshal(spec.Params, &params); err != nil || len(params) != 1 {
+			t.Fatalf("fixture params %s: want exactly one field (%v)", spec.Params, err)
+		}
+		for field := range params {
+			_, err := spec.Scenario()
+			if err == nil || !strings.Contains(err.Error(), field) {
+				t.Errorf("params %s: error %v, want one naming %q", spec.Params, err, field)
+			}
+		}
 	}
 }
 
