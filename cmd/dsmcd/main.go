@@ -1,9 +1,10 @@
 // Command dsmcd is the DSMC job server: it accepts ensemble/parameter-
-// sweep specs over HTTP, schedules them as job DAGs over a bounded pool
-// of whole simulations (dsmc.RunSweep), streams per-job progress, and
-// serves the aggregated cross-replica statistics. Every job checkpoints
-// its full state (internal/ckpt), so a killed server resumes unfinished
-// sweeps on restart — bit-identically to never having died.
+// sweep specs over HTTP, schedules their replica jobs over a bounded pool
+// of whole simulations on the job core RunSweep uses, streams per-job
+// progress, and serves the aggregated cross-replica statistics. Every
+// job checkpoints its full state (internal/ckpt), so a killed server
+// resumes unfinished sweeps on restart — bit-identically to never
+// having died.
 //
 // API (JSON unless noted):
 //
@@ -75,7 +76,7 @@
 // coordinator redispatches the job and the next worker resumes from the
 // last uploaded checkpoint, bit-identical to a never-failed run. A job
 // that exhausts -max-retries dispatches fails the sweep, skipping its
-// dependents exactly like the in-process executor. GET /coord/v1/workers
+// unfinished jobs as an in-process run does. GET /coord/v1/workers
 // reports the fleet.
 //
 // # Result store and memoization

@@ -18,7 +18,7 @@
 // the run subsystem (not part of "all"; run them explicitly):
 //
 //	sweep         ensemble sweep over the rarefaction parameter: -replicas
-//	              independent replicas per point, scheduled as a job DAG
+//	              independent replicas per point, scheduled by the job core
 //	              over -jobpool concurrent simulations, aggregated into
 //	              mean ± CI (writes sweep.json)
 //	sweep-resume  self-verifying checkpoint/restore: runs the sweep,
@@ -412,7 +412,7 @@ func (h *harness) sweep(ckptDir string) (*dsmc.SweepResult, error) {
 		len(spec.Points), spec.Replicas, spec.WarmSteps, spec.SampleSteps, h.jobpool)
 	var jobsDone int
 	res, err := dsmc.RunSweep(context.Background(), spec, func(e dsmc.SweepEvent) {
-		// Count replica jobs only; the per-point aggregate fan-in nodes
+		// Count replica jobs only; the per-point aggregate fan-ins
 		// also emit job-done but are not simulations.
 		if e.Type == "job-done" && !strings.HasSuffix(e.Job, "/aggregate") {
 			jobsDone++

@@ -36,6 +36,8 @@ type SweepJob struct {
 	// uses it to satisfy jobs from finished artifacts instead of
 	// dispatching them.
 	StoreKey string `json:"store_key,omitempty"`
+	// Scenario is the name of the job's point.
+	Scenario string `json:"scenario"`
 }
 
 // SweepJobs enumerates the replica jobs of a validated spec in
@@ -49,23 +51,15 @@ func SweepJobs(spec SweepSpec) ([]SweepJob, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	total := sp.WarmSteps + sp.SampleSteps
-	jobs := make([]SweepJob, 0, len(sp.Scenarios)*sp.Replicas)
-	for si := range sp.Scenarios {
-		for r := 0; r < sp.Replicas; r++ {
-			jobs = append(jobs, SweepJob{
-				ID:         run.JobName(sp.Scenarios[si].Name, r),
-				Point:      si,
-				Replica:    r,
-				StepsTotal: total,
-				StoreKey:   sp.OutputKey(si, r).ID(),
-			})
-		}
+	rj := sp.Jobs()
+	jobs := make([]SweepJob, len(rj))
+	for i, j := range rj {
+		jobs[i] = SweepJob(j)
 	}
 	return jobs, nil
 }
 
-// AggregateJobID is the canonical ID of a point's fan-in node in status
+// AggregateJobID is the canonical ID of a point's fan-in in status
 // tables and event streams (it is not a dispatchable job: aggregation
 // runs wherever the outputs are assembled).
 func AggregateJobID(pointName string) string { return run.AggregateName(pointName) }
@@ -142,10 +136,7 @@ func RunSweepJob(ctx context.Context, spec SweepSpec, point, replica int, io Swe
 	if every <= 0 {
 		every = spec.CheckpointEvery
 	}
-	jio := run.JobIO{Every: every, Progress: io.Progress}
-	if io.Checkpoint != nil {
-		jio.Ckpt = io.Checkpoint
-	}
+	jio := run.JobIO{Ckpt: io.Checkpoint, Every: every, Progress: io.Progress}
 	if spec.ResultStoreDir != "" {
 		st, err := store.Open(spec.ResultStoreDir)
 		if err != nil {
@@ -162,18 +153,13 @@ func RunSweepJob(ctx context.Context, spec SweepSpec, point, replica int, io Swe
 	if err != nil {
 		return nil, err
 	}
-	return &ReplicaOutput{
-		Fields:        res.Fields,
-		ShockAngleDeg: res.ShockAngleDeg,
-		Collisions:    res.Collisions,
-		NFlow:         res.NFlow,
-	}, nil
+	return (*ReplicaOutput)(res), nil
 }
 
 // AssembleSweepResult fans a sweep's collected job outputs into the
 // public result: outputs[point][replica] must be fully populated in
 // (point, replica) order — SweepJobs order. The aggregation is the
-// identical index-order Welford merge RunSweep's fan-in nodes run, so
+// identical index-order Welford merge RunSweep's point fan-in runs, so
 // the assembled result is bit-identical to the in-process run's
 // regardless of which workers computed which jobs in which order.
 func AssembleSweepResult(spec SweepSpec, outputs [][]*ReplicaOutput) (*SweepResult, error) {
@@ -197,12 +183,7 @@ func AssembleSweepResult(spec SweepSpec, outputs [][]*ReplicaOutput) (*SweepResu
 			if o == nil {
 				return nil, fmt.Errorf("dsmc: point %d replica %d output missing", si, r)
 			}
-			rs[r] = &run.ReplicaResult{
-				Fields:        o.Fields,
-				ShockAngleDeg: o.ShockAngleDeg,
-				Collisions:    o.Collisions,
-				NFlow:         o.NFlow,
-			}
+			rs[r] = (*run.ReplicaResult)(o)
 		}
 		aggs[si] = sp.AggregateScenario(si, rs)
 	}

@@ -391,7 +391,7 @@ func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 	return sp, plans, nil
 }
 
-// RunSweep executes the sweep's job DAG — replicas fan out over a
+// RunSweep executes the sweep's jobs — replicas fan out over a
 // bounded pool of concurrent simulations, per-point aggregations fan in
 // — and returns cross-replica mean/variance/CI statistics per point and
 // per requested quantity. Points may override the base scenario's

@@ -1,6 +1,6 @@
 // Ensemble quickstart: DSMC answers are statistical, so production runs
 // replicate them. This example runs several independent replicas of the
-// paper's rarefied wedge flow as a job DAG over a bounded pool of
+// paper's rarefied wedge flow as a sweep of jobs over a bounded pool of
 // concurrent simulations (dsmc.RunEnsemble), then reports the shock
 // angle as mean ± 95% CI instead of a single-sample point estimate —
 // with the mean density field still carrying the full analysis surface.

@@ -2,8 +2,8 @@ package coord
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -11,6 +11,7 @@ import (
 
 	"dsmc"
 	"dsmc/internal/obs"
+	"dsmc/internal/run"
 	"dsmc/internal/store"
 )
 
@@ -18,9 +19,9 @@ import (
 // in-memory checkpoints, 15s leases, 3 dispatch attempts per job.
 type Config struct {
 	// DataDir, when set, persists uploaded checkpoints to
-	// <DataDir>/<sweep>/ckpt/job-sNNN-rNNN.ckpt — the exact layout the
-	// in-process executor uses, so a coordinator restarted over an old
-	// data directory resumes from the checkpoints either path wrote.
+	// <DataDir>/<sweep>/ckpt/job-sNNN-rNNN.ckpt — the file name an
+	// in-process RunSweep gives them in its checkpoint directory — so a
+	// coordinator restarted over an old data directory resumes from them.
 	// When empty, checkpoints are held in memory.
 	DataDir string
 	// LeaseTTL is how long a lease survives without a heartbeat before
@@ -28,7 +29,7 @@ type Config struct {
 	LeaseTTL time.Duration
 	// MaxAttempts bounds dispatches per job; when a job's lease expires
 	// or a worker reports an error and the budget is spent, the job fails
-	// permanently and the failure propagates through the DAG (default 3).
+	// permanently and its sweep fails with it (default 3).
 	MaxAttempts int
 	// Store, when non-nil, memoizes jobs against the content-addressed
 	// result store: a sweep's jobs are satisfied from finished artifacts
@@ -42,91 +43,33 @@ type Config struct {
 	// OnEvent, when non-nil, observes sweep progress with the same event
 	// vocabulary as dsmc.RunSweep, plus "job-lost" (lease expired or
 	// worker-reported error with budget remaining; the job will be
-	// redispatched) and "job-released" (worker handed the job back
-	// gracefully, e.g. during shutdown; no attempt consumed). Calls are
-	// serialized.
+	// redispatched), "job-released" (worker handed the job back
+	// gracefully, e.g. during shutdown; no attempt consumed) and "trace"
+	// (a running job's flight-recorder batch). Calls are serialized.
 	OnEvent func(sweepID string, e dsmc.SweepEvent)
 	// now is the test clock hook.
 	now func() time.Time
 }
 
-// Coordinator owns the job DAGs of one or more sweeps and hands jobs to
-// pull-based workers under leases. All state transitions happen under
-// one mutex; expiry is evaluated lazily at the top of every public call,
-// so no background goroutine is needed and tests can drive the clock.
+// Coordinator hands the jobs of one or more sweeps to pull-based
+// workers under leases. The job state machine is the shared core
+// (run.Core) that in-process sweeps run on too; the Coordinator adds
+// each sweep's wire spec, the fleet table, the dsmc_coord_* telemetry
+// and the conversion to and from the public dsmc types.
 type Coordinator struct {
-	cfg Config
+	cfg  Config
+	core *run.Core
 
-	mu       sync.Mutex
-	order    []string // sweep IDs in arrival order (dispatch priority)
-	sweeps   map[string]*sweepState
-	workers  map[string]*workerState
-	leaseSeq uint64
-}
+	evMu sync.Mutex // serializes OnEvent across core transitions and trace fan-out
 
-type jobPhase int
-
-const (
-	jobPending jobPhase = iota
-	jobLeased
-	jobDone
-	jobFailed
-	jobSkipped
-)
-
-type job struct {
-	id         string
-	point      int
-	replica    int
-	stepsTotal int
-	// storeKey is the job's content-addressed result key (from
-	// dsmc.SweepJobs); empty disables memoization for the job.
-	storeKey string
-
-	phase    jobPhase
-	attempts int // dispatches consumed against MaxAttempts
-
-	// dispatchedAt stamps the current lease's grant, feeding the
-	// dispatch-to-complete latency histogram when the job completes.
-	dispatchedAt time.Time
-
-	// lease is the current lease while jobLeased; after jobDone it keeps
-	// the winning lease ID so a redelivered Complete from the winner is
-	// acked while any other lease is rejected.
-	lease       string
-	leaseWorker string
-	expires     time.Time
-	stepsDone   int
-	heartbeats  int // heartbeats seen under the current lease
-
-	output *dsmc.ReplicaOutput
-	ckpt   []byte // in-memory checkpoint when Config.DataDir is unset
-}
-
-type sweepState struct {
-	id      string
-	spec    dsmc.SweepSpec
-	specRaw json.RawMessage
-	pool    int // max in-flight leases (0 = unbounded)
-
-	jobs   []*job // (point, replica) order — dispatch order
-	byID   map[string]*job
-	points [][]*job // jobs grouped by point index
-	names  []string // point names, for aggregate events
-
-	aggDone  []bool // per point: aggregate event emitted
-	failed   bool
-	firstErr string
-	finished bool
-	onDone   func(*dsmc.SweepResult, error)
+	mu      sync.Mutex
+	specs   map[string]json.RawMessage // wire spec per sweep
+	workers map[string]*workerState
 }
 
 type workerState struct {
-	id         string
-	lastSeen   time.Time
-	sweep, job string // current lease, if any
-	stepsDone  int
-	stepsTotal int
+	id       string
+	lastSeen time.Time
 	// metrics is the worker's last heartbeat-piggybacked instrument
 	// snapshot, re-emitted by WriteMetrics under dsmc_fleet_*.
 	metrics []obs.Sample
@@ -143,17 +86,30 @@ func New(cfg Config) *Coordinator {
 	if cfg.now == nil {
 		cfg.now = time.Now
 	}
-	return &Coordinator{
+	c := &Coordinator{
 		cfg:     cfg,
-		sweeps:  make(map[string]*sweepState),
+		specs:   make(map[string]json.RawMessage),
 		workers: make(map[string]*workerState),
 	}
+	c.core = run.NewCore(run.CoreConfig{
+		LeaseTTL:    cfg.LeaseTTL,
+		MaxAttempts: cfg.MaxAttempts,
+		Store:       cfg.Store,
+		OnEvent:     c.observe,
+		OnExpire:    mLeaseExpiries.Inc,
+		OnComplete: func(held time.Duration) {
+			mCompletions.Inc()
+			mJobSeconds.Observe(held.Seconds())
+		},
+		Now: cfg.now,
+	})
+	return c
 }
 
-// AddSweep registers a sweep's job DAG for dispatch. onDone, when
-// non-nil, is called exactly once from a fresh goroutine when the sweep
-// finishes: with the assembled result on success, or with the first
-// error once the failure has propagated through the DAG.
+// AddSweep registers a sweep for dispatch. onDone, when non-nil, is
+// called exactly once from a fresh goroutine when the sweep finishes:
+// with the assembled result on success, or with the first error once
+// the failure has propagated through the sweep.
 func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc.SweepResult, error)) error {
 	jobs, err := dsmc.SweepJobs(spec)
 	if err != nil {
@@ -168,61 +124,42 @@ func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc
 	if err != nil {
 		return err
 	}
-	st := &sweepState{
-		id:      id,
-		spec:    spec,
-		specRaw: raw,
-		pool:    spec.Pool,
-		byID:    make(map[string]*job, len(jobs)),
-		onDone:  onDone,
-	}
-	for _, j := range jobs {
-		tj := &job{id: j.ID, point: j.Point, replica: j.Replica, stepsTotal: j.StepsTotal, storeKey: j.StoreKey}
-		st.jobs = append(st.jobs, tj)
-		st.byID[j.ID] = tj
-		for len(st.points) <= j.Point {
-			st.points = append(st.points, nil)
-			st.names = append(st.names, "")
-		}
-		st.points[j.Point] = append(st.points[j.Point], tj)
-	}
-	st.aggDone = make([]bool, len(st.points))
-	for _, j := range jobs {
-		if st.names[j.Point] == "" {
-			// Job IDs are "<point-name>/rNNN"; recover the point name once.
-			st.names[j.Point] = j.ID[:len(j.ID)-len(fmt.Sprintf("/r%03d", j.Replica))]
-		}
-	}
-
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.sweeps[id]; dup {
+	_, dup := c.specs[id]
+	if !dup {
+		c.specs[id] = raw
+	}
+	c.mu.Unlock()
+	if dup {
 		return fmt.Errorf("coord: sweep %q already registered", id)
 	}
-	c.sweeps[id] = st
-	c.order = append(c.order, id)
-	// Memoization pass: satisfy every job the store already holds before
-	// anything dispatches, so overlapping or restarted sweeps never
-	// re-dispatch finished work. Runs once per sweep under the lock — the
-	// 25ms poll loop never touches the store.
-	if c.cfg.Store != nil {
-		touched := make([]bool, len(st.points))
-		any := false
-		for _, j := range st.jobs {
-			if c.memoLocked(st, j) {
-				touched[j.point] = true
-				any = true
-			}
-		}
-		for pt, t := range touched {
-			if t {
-				c.maybeAggregateLocked(st, pt)
-			}
-		}
-		if any {
-			c.maybeFinishLocked(st)
+
+	sw := run.Sweep{ID: id, Pool: spec.Pool, Jobs: make([]run.Job, len(jobs))}
+	for i, j := range jobs {
+		sw.Jobs[i] = run.Job(j)
+	}
+	if c.cfg.DataDir != "" {
+		sw.CkptDir = filepath.Join(c.cfg.DataDir, id, "ckpt")
+	}
+	if onDone != nil {
+		sw.OnDone = func(outs [][]*run.ReplicaResult, err error) {
+			go func() {
+				if err != nil {
+					onDone(nil, fmt.Errorf("coord: sweep %s failed: %w", id, err))
+					return
+				}
+				pub := make([][]*dsmc.ReplicaOutput, len(outs))
+				for pt, row := range outs {
+					pub[pt] = make([]*dsmc.ReplicaOutput, len(row))
+					for r, o := range row {
+						pub[pt][r] = (*dsmc.ReplicaOutput)(o)
+					}
+				}
+				onDone(dsmc.AssembleSweepResult(spec, pub))
+			}()
 		}
 	}
+	c.core.Add(sw)
 	return nil
 }
 
@@ -230,103 +167,45 @@ func (c *Coordinator) AddSweep(id string, spec dsmc.SweepSpec, onDone func(*dsmc
 // is available. Jobs dispatch in sweep-arrival then (point, replica)
 // order; a sweep with Pool > 0 holds at most Pool in-flight leases.
 func (c *Coordinator) Poll(workerID string) (*Lease, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.now()
-	c.expireLocked(now)
-	c.touchWorker(workerID, now)
-
-	for _, id := range c.order {
-		st := c.sweeps[id]
-		if st.finished || st.failed {
-			continue
-		}
-		inflight := 0
-		for _, j := range st.jobs {
-			if j.phase == jobLeased {
-				inflight++
-			}
-		}
-		if st.pool > 0 && inflight >= st.pool {
-			continue
-		}
-		for _, j := range st.jobs {
-			if j.phase != jobPending {
-				continue
-			}
-			c.leaseSeq++
-			j.phase = jobLeased
-			j.attempts++
-			j.lease = fmt.Sprintf("l%06d", c.leaseSeq)
-			j.leaseWorker = workerID
-			j.expires = now.Add(c.cfg.LeaseTTL)
-			j.heartbeats = 0
-			j.dispatchedAt = now
-			mLeaseGrants.Inc()
-			w := c.workers[workerID]
-			w.sweep, w.job = st.id, j.id
-			w.stepsDone, w.stepsTotal = j.stepsDone, j.stepsTotal
-			c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-started", Job: j.id})
-			return &Lease{
-				Sweep:         st.id,
-				Job:           j.id,
-				Point:         j.point,
-				Replica:       j.replica,
-				StepsTotal:    j.stepsTotal,
-				LeaseID:       j.lease,
-				TTLMillis:     c.cfg.LeaseTTL.Milliseconds(),
-				HasCheckpoint: c.hasCheckpoint(st, j),
-				Spec:          st.specRaw,
-			}, nil
-		}
+	c.touchWorker(workerID, nil)
+	l := c.core.Poll(workerID)
+	if l == nil {
+		return nil, nil
 	}
-	return nil, nil
+	mLeaseGrants.Inc()
+	c.mu.Lock()
+	raw := c.specs[l.Sweep]
+	c.mu.Unlock()
+	return &Lease{
+		Sweep:         l.Sweep,
+		Job:           l.Job.ID,
+		Point:         l.Job.Point,
+		Replica:       l.Job.Replica,
+		StepsTotal:    l.Job.StepsTotal,
+		LeaseID:       l.LeaseID,
+		TTLMillis:     c.cfg.LeaseTTL.Milliseconds(),
+		HasCheckpoint: l.HasCheckpoint,
+		Spec:          raw,
+	}, nil
 }
 
 // HandleHeartbeat renews the lease and records progress, or tells a
 // stale worker to abandon the job.
 func (c *Coordinator) HandleHeartbeat(hb Heartbeat) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.now()
-	c.expireLocked(now)
-	c.touchWorker(hb.Worker, now)
 	mHeartbeats.Inc()
-	if len(hb.Metrics) > 0 {
-		c.workers[hb.Worker].metrics = hb.Metrics
-	}
-
-	st, j, err := c.lookupLocked(hb.Sweep, hb.Job)
+	c.touchWorker(hb.Worker, hb.Metrics)
+	j, err := c.core.Heartbeat(hb.Sweep, hb.Job, hb.Lease, hb.StepsDone)
 	if err != nil {
 		mStaleRejects.Inc()
-		return HBAbandon, nil // sweep evicted or unknown: stop working
-	}
-	if j.phase != jobLeased || j.lease != hb.Lease {
-		mStaleRejects.Inc()
-		return HBAbandon, nil
-	}
-	j.expires = now.Add(c.cfg.LeaseTTL)
-	j.heartbeats++
-	w := c.workers[hb.Worker]
-	w.sweep, w.job = st.id, j.id
-	w.stepsDone, w.stepsTotal = hb.StepsDone, hb.StepsTotal
-	// Emit progress on change, and unconditionally on a lease's first
-	// heartbeat so the event stream always shows a dispatched job moving.
-	if hb.StepsDone != j.stepsDone || j.heartbeats == 1 {
-		j.stepsDone = hb.StepsDone
-		c.emitLocked(st.id, dsmc.SweepEvent{
-			Type: "job-progress", Job: j.id, Scenario: st.names[j.point], Replica: j.replica,
-			StepsDone: hb.StepsDone, StepsTotal: j.stepsTotal,
-		})
+		return HBAbandon, nil // sweep unknown or lease gone: stop working
 	}
 	// A trace batch from the live lease holder fans out as a "trace"
 	// event — the flight-recorder feed. Batches from stale leases never
 	// reach here, so a redispatched job's recorder shows one worker's
 	// timeline at a time.
 	if len(hb.Trace) > 0 {
-		c.emitLocked(st.id, dsmc.SweepEvent{
-			Type: "trace", Job: j.id, Scenario: st.names[j.point], Replica: j.replica,
-			Trace: hb.Trace,
+		c.emit(hb.Sweep, dsmc.SweepEvent{
+			Type: "trace", Job: j.ID, Scenario: j.Scenario, Replica: j.Replica, Trace: hb.Trace,
 		})
 	}
 	return HBOK, nil
@@ -336,173 +215,55 @@ func (c *Coordinator) HandleHeartbeat(hb Heartbeat) (string, error) {
 // Saves are idempotent (last write wins); a stale lease gets
 // ErrStaleLease and must abandon the job.
 func (c *Coordinator) SaveCheckpoint(sweep, jobID, lease string, data []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.now()
-	c.expireLocked(now)
-
-	st, j, err := c.lookupLocked(sweep, jobID)
-	if err != nil {
-		return err
-	}
-	if j.phase != jobLeased || j.lease != lease {
-		mStaleRejects.Inc()
-		return ErrStaleLease
-	}
-	if c.cfg.DataDir == "" {
-		j.ckpt = append([]byte(nil), data...)
-	} else {
-		path := c.ckptPath(st, j)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return err
-		}
-		if err := atomicWriteFile(path, data); err != nil {
-			return err
-		}
-	}
-	j.expires = now.Add(c.cfg.LeaseTTL)
-	return nil
+	return fence(c.core.SaveCheckpoint(sweep, jobID, lease, data))
 }
 
 // LoadCheckpoint returns the job's last uploaded checkpoint (nil when
 // none) to the current lease holder.
 func (c *Coordinator) LoadCheckpoint(sweep, jobID, lease string) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.expireLocked(c.cfg.now())
-
-	st, j, err := c.lookupLocked(sweep, jobID)
-	if err != nil {
-		return nil, err
-	}
-	if j.phase != jobLeased || j.lease != lease {
-		mStaleRejects.Inc()
-		return nil, ErrStaleLease
-	}
-	if c.cfg.DataDir == "" {
-		return append([]byte(nil), j.ckpt...), nil
-	}
-	data, err := os.ReadFile(c.ckptPath(st, j))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	return data, err
+	data, err := c.core.LoadCheckpoint(sweep, jobID, lease)
+	return data, fence(err)
 }
 
 // Complete records a job's output. Idempotent: a redelivered Complete
 // under the winning lease is acked; any other lease gets ErrStaleLease.
 func (c *Coordinator) Complete(sweep, jobID, lease string, out *dsmc.ReplicaOutput) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.now()
-	c.expireLocked(now)
-
-	st, j, err := c.lookupLocked(sweep, jobID)
-	if err != nil {
-		return err
-	}
-	if j.phase == jobDone && j.lease == lease {
-		return nil // duplicate delivery of the winning completion
-	}
-	if j.phase != jobLeased || j.lease != lease {
-		mStaleRejects.Inc()
-		return ErrStaleLease
-	}
-	j.phase = jobDone
-	j.stepsDone = j.stepsTotal
-	j.output = out
-	j.ckpt = nil
-	mCompletions.Inc()
-	if !j.dispatchedAt.IsZero() {
-		mJobSeconds.Observe(now.Sub(j.dispatchedAt).Seconds())
-	}
-	c.clearWorkerJob(j.leaseWorker, now)
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-done", Job: j.id})
-	c.maybeAggregateLocked(st, j.point)
-	c.maybeFinishLocked(st)
-	// Publish the accepted output to the result store and immediately
-	// satisfy matching pending jobs of every other registered sweep. The
-	// publish sits behind the lease fence above, so only the winning
-	// completion of a redispatched job reaches the store; racing writers
-	// of the same key must therefore produce identical bytes, which Put
-	// verifies rather than assumes (a conflict is refused and counted).
-	if c.cfg.Store != nil && j.storeKey != "" {
-		_, _ = c.cfg.Store.Put(j.storeKey, EncodeOutput(out))
-		c.satisfyOthersLocked(st.id, j.storeKey)
-	}
-	return nil
+	return fence(c.core.Complete(sweep, jobID, lease, (*run.ReplicaResult)(out)))
 }
 
 // Release hands a job back gracefully (worker shutdown): the job returns
 // to the queue without consuming a dispatch attempt, and the next worker
 // resumes from the last uploaded checkpoint.
 func (c *Coordinator) Release(sweep, jobID, lease string, stepsDone int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.now()
-	c.expireLocked(now)
-
-	st, j, err := c.lookupLocked(sweep, jobID)
-	if err != nil {
-		return err
-	}
-	if j.phase != jobLeased || j.lease != lease {
-		mStaleRejects.Inc()
-		return ErrStaleLease
-	}
-	mReleases.Inc()
-	j.phase = jobPending
-	j.attempts-- // voluntary hand-back does not burn retry budget
-	j.lease = ""
-	j.stepsDone = stepsDone
-	c.clearWorkerJob(j.leaseWorker, now)
-	j.leaseWorker = ""
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-released", Job: j.id, StepsDone: stepsDone, StepsTotal: j.stepsTotal})
-	return nil
+	return fence(c.core.Release(sweep, jobID, lease, stepsDone))
 }
 
 // Fail records a worker-reported job error. With budget remaining the
-// job is requeued; otherwise it fails permanently and the failure
-// propagates through the sweep's DAG.
+// job is requeued; otherwise it fails permanently and so does its sweep.
 func (c *Coordinator) Fail(sweep, jobID, lease, msg string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	now := c.cfg.now()
-	c.expireLocked(now)
-
-	st, j, err := c.lookupLocked(sweep, jobID)
-	if err != nil {
-		return err
-	}
-	if j.phase != jobLeased || j.lease != lease {
-		mStaleRejects.Inc()
-		return ErrStaleLease
-	}
-	c.clearWorkerJob(j.leaseWorker, now)
-	c.retryOrFailLocked(st, j, msg)
-	return nil
+	return fence(c.core.Fail(sweep, jobID, lease, errors.New(msg)))
 }
 
 // Workers reports the fleet as seen by the coordinator, sorted by ID.
 // A worker silent for three lease TTLs is reported lost.
 func (c *Coordinator) Workers() []WorkerStatus {
+	held := c.core.Holdings()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
-	c.expireLocked(now)
-
 	out := make([]WorkerStatus, 0, len(c.workers))
 	for _, w := range c.workers {
+		h := held[w.id]
 		ws := WorkerStatus{
 			ID:             w.id,
 			State:          "idle",
-			Sweep:          w.sweep,
-			Job:            w.job,
-			StepsDone:      w.stepsDone,
-			StepsTotal:     w.stepsTotal,
+			Sweep:          h.Sweep,
+			Job:            h.Job,
+			StepsDone:      h.StepsDone,
+			StepsTotal:     h.StepsTotal,
 			LastSeenMillis: now.Sub(w.lastSeen).Milliseconds(),
 		}
-		if w.job != "" {
+		if h.Job != "" {
 			ws.State = "running"
 		}
 		if now.Sub(w.lastSeen) > 3*c.cfg.LeaseTTL {
@@ -514,257 +275,52 @@ func (c *Coordinator) Workers() []WorkerStatus {
 	return out
 }
 
-// --- internals (all require c.mu) ---
-
-// expireLocked sweeps every leased job whose heartbeat lapsed: the lease
-// is revoked and the job retries or fails permanently. Deterministic
-// iteration order (sweep arrival, then job order) keeps event sequences
-// reproducible under a fake clock.
-func (c *Coordinator) expireLocked(now time.Time) {
-	for _, id := range c.order {
-		st := c.sweeps[id]
-		if st.finished {
-			continue
-		}
-		for _, j := range st.jobs {
-			if j.phase == jobLeased && now.After(j.expires) {
-				mLeaseExpiries.Inc()
-				c.clearWorkerJob(j.leaseWorker, now)
-				c.retryOrFailLocked(st, j, fmt.Sprintf("lease expired (worker %s lost)", j.leaseWorker))
-			}
-		}
-	}
-}
-
-// retryOrFailLocked revokes a job's lease after a loss or worker error:
-// requeue while attempts remain, else fail permanently and propagate.
-func (c *Coordinator) retryOrFailLocked(st *sweepState, j *job, msg string) {
-	j.lease = ""
-	j.leaseWorker = ""
-	if j.attempts < c.cfg.MaxAttempts {
+// observe counts the core's transitions and forwards them as public
+// sweep events.
+func (c *Coordinator) observe(sweep string, e run.Event) {
+	switch e.Type {
+	case run.EventJobLost:
 		mRetries.Inc()
-		j.phase = jobPending
-		c.emitLocked(st.id, dsmc.SweepEvent{
-			Type: "job-lost", Job: j.id, StepsDone: j.stepsDone, StepsTotal: j.stepsTotal,
-			Err: fmt.Sprintf("%s; attempt %d/%d, will redispatch", msg, j.attempts, c.cfg.MaxAttempts),
-		})
+	case run.EventJobFailed:
+		mJobFailures.Inc()
+	case run.EventJobReleased:
+		mReleases.Inc()
+	}
+	c.emit(sweep, dsmc.SweepEvent{
+		Type: string(e.Type), Job: e.Job, Scenario: e.Scenario, Replica: e.Replica,
+		StepsDone: e.StepsDone, StepsTotal: e.StepsTotal, Err: e.Err,
+	})
+}
+
+func (c *Coordinator) emit(sweep string, e dsmc.SweepEvent) {
+	if c.cfg.OnEvent == nil {
 		return
 	}
-	j.phase = jobFailed
-	mJobFailures.Inc()
-	err := fmt.Sprintf("%s; retry budget exhausted (%d attempts)", msg, j.attempts)
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-failed", Job: j.id, Err: err})
-	if !st.failed {
-		st.failed = true
-		st.firstErr = fmt.Sprintf("job %s: %s", j.id, err)
-	}
-	// Skip propagation, mirroring the in-process DAG executor: every
-	// job not yet terminal is skipped (in-flight leases are revoked —
-	// their workers learn via heartbeat/upload rejection), and so is
-	// every point aggregation that never got to run.
-	for _, o := range st.jobs {
-		if o.phase == jobPending || o.phase == jobLeased {
-			if o.phase == jobLeased {
-				c.clearWorkerJob(o.leaseWorker, c.cfg.now())
-			}
-			o.phase = jobSkipped
-			o.lease = ""
-			o.leaseWorker = ""
-			c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-skipped", Job: o.id})
-		}
-	}
-	for pt, done := range st.aggDone {
-		if !done {
-			st.aggDone[pt] = true
-			c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-skipped", Job: dsmc.AggregateJobID(st.names[pt])})
-		}
-	}
-	c.maybeFinishLocked(st)
+	c.evMu.Lock()
+	defer c.evMu.Unlock()
+	c.cfg.OnEvent(sweep, e)
 }
 
-// memoLocked tries to satisfy one pending job from the result store.
-// On a verified hit the job completes without dispatch — its events are
-// emitted so the stream matches a computed run's shape — but no
-// completion counter fires: memoized work was not done here. A
-// checksum-valid artifact that fails frame decode is quarantined via
-// Reject so a recompute can replace it.
-func (c *Coordinator) memoLocked(st *sweepState, j *job) bool {
-	if c.cfg.Store == nil || j.storeKey == "" || j.phase != jobPending {
-		return false
-	}
-	data, _, ok := c.cfg.Store.Get(j.storeKey)
-	if !ok {
-		return false
-	}
-	out, err := DecodeOutput(data)
-	if err != nil {
-		c.cfg.Store.Reject(j.storeKey)
-		return false
-	}
-	j.phase = jobDone
-	j.stepsDone = j.stepsTotal
-	j.output = out
-	j.ckpt = nil
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-started", Job: j.id})
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-done", Job: j.id})
-	return true
-}
-
-// satisfyOthersLocked completes every other live sweep's pending jobs
-// that share a just-published store key — the cross-sweep half of
-// memoization: overlapping sweeps converge on one computation per key.
-func (c *Coordinator) satisfyOthersLocked(origin, storeKey string) {
-	for _, id := range c.order {
-		if id == origin {
-			continue
-		}
-		st := c.sweeps[id]
-		if st.finished || st.failed {
-			continue
-		}
-		touched := make([]bool, len(st.points))
-		any := false
-		for _, j := range st.jobs {
-			if j.phase == jobPending && j.storeKey == storeKey && c.memoLocked(st, j) {
-				touched[j.point] = true
-				any = true
-			}
-		}
-		for pt, t := range touched {
-			if t {
-				c.maybeAggregateLocked(st, pt)
-			}
-		}
-		if any {
-			c.maybeFinishLocked(st)
-		}
-	}
-}
-
-// maybeAggregateLocked emits the aggregate fan-in events once a point's
-// replicas are all done, matching the in-process executor's stream.
-func (c *Coordinator) maybeAggregateLocked(st *sweepState, pt int) {
-	if st.aggDone[pt] {
-		return
-	}
-	for _, j := range st.points[pt] {
-		if j.phase != jobDone {
-			return
-		}
-	}
-	st.aggDone[pt] = true
-	agg := dsmc.AggregateJobID(st.names[pt])
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-started", Job: agg})
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "aggregate-done", Job: agg, Scenario: st.names[pt]})
-	c.emitLocked(st.id, dsmc.SweepEvent{Type: "job-done", Job: agg})
-}
-
-// maybeFinishLocked fires onDone once the sweep reaches a terminal
-// state: all jobs done (assemble the result off-lock) or the failure
-// fully propagated.
-func (c *Coordinator) maybeFinishLocked(st *sweepState) {
-	if st.finished {
-		return
-	}
-	if st.failed {
-		st.finished = true
-		if st.onDone != nil {
-			err := fmt.Errorf("coord: sweep %s failed: %s", st.id, st.firstErr)
-			go st.onDone(nil, err)
-		}
-		return
-	}
-	outputs := make([][]*dsmc.ReplicaOutput, len(st.points))
-	for pt, jobs := range st.points {
-		outputs[pt] = make([]*dsmc.ReplicaOutput, len(jobs))
-		for _, j := range jobs {
-			if j.phase != jobDone {
-				return
-			}
-			outputs[pt][j.replica] = j.output
-		}
-	}
-	st.finished = true
-	if st.onDone != nil {
-		spec := st.spec
-		onDone := st.onDone
-		go func() {
-			res, err := dsmc.AssembleSweepResult(spec, outputs)
-			onDone(res, err)
-		}()
-	}
-}
-
-func (c *Coordinator) lookupLocked(sweep, jobID string) (*sweepState, *job, error) {
-	st, ok := c.sweeps[sweep]
-	if !ok {
-		return nil, nil, ErrUnknown
-	}
-	j, ok := st.byID[jobID]
-	if !ok {
-		return nil, nil, ErrUnknown
-	}
-	return st, j, nil
-}
-
-func (c *Coordinator) touchWorker(id string, now time.Time) {
+// touchWorker records a worker's contact and, when it sent one, its
+// instrument snapshot.
+func (c *Coordinator) touchWorker(id string, metrics []obs.Sample) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	w := c.workers[id]
 	if w == nil {
 		w = &workerState{id: id}
 		c.workers[id] = w
 	}
-	w.lastSeen = now
-}
-
-// clearWorkerJob detaches a worker's status row from a lease that ended
-// (completed, released, expired, or revoked).
-func (c *Coordinator) clearWorkerJob(workerID string, now time.Time) {
-	if w := c.workers[workerID]; w != nil {
-		w.sweep, w.job = "", ""
-		w.stepsDone, w.stepsTotal = 0, 0
+	w.lastSeen = c.cfg.now()
+	if len(metrics) > 0 {
+		w.metrics = metrics
 	}
 }
 
-func (c *Coordinator) emitLocked(sweepID string, e dsmc.SweepEvent) {
-	if c.cfg.OnEvent != nil {
-		c.cfg.OnEvent(sweepID, e)
+// fence counts a stale-lease rejection on its way back to the caller.
+func fence(err error) error {
+	if errors.Is(err, ErrStaleLease) {
+		mStaleRejects.Inc()
 	}
-}
-
-func (c *Coordinator) ckptPath(st *sweepState, j *job) string {
-	return filepath.Join(c.cfg.DataDir, st.id, "ckpt", fmt.Sprintf("job-s%03d-r%03d.ckpt", j.point, j.replica))
-}
-
-func (c *Coordinator) hasCheckpoint(st *sweepState, j *job) bool {
-	if c.cfg.DataDir == "" {
-		return len(j.ckpt) > 0
-	}
-	_, err := os.Stat(c.ckptPath(st, j))
-	return err == nil
-}
-
-// atomicWriteFile writes via a temp file + rename so a crashed
-// coordinator never leaves a half-written checkpoint behind; readers see
-// either the old bytes or the new bytes.
-func atomicWriteFile(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return err
 }

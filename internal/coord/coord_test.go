@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dsmc"
+	"dsmc/internal/store"
 )
 
 // tinySpec is a fast two-replica, one-point sweep used across tests.
@@ -569,4 +570,52 @@ type localProgressQueue struct {
 func (q localProgressQueue) Heartbeat(ctx context.Context, hb Heartbeat) (string, error) {
 	q.onHB(hb)
 	return q.LocalQueue.Heartbeat(ctx, hb)
+}
+
+// TestStoreSatisfiedJobEvents: a job the result store already holds
+// completes at registration with the same event shape as a computed
+// one — job-started, job-progress with every step done, job-done — and
+// is never dispatched.
+func TestStoreSatisfiedJobEvents(t *testing.T) {
+	spec := tinySpec()
+	jobs, err := dsmc.SweepJobs(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := dsmc.RunSweepJob(context.Background(), spec, jobs[0].Point, jobs[0].Replica, dsmc.SweepJobIO{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put(jobs[0].StoreKey, EncodeOutput(out)); err != nil {
+		t.Fatal(err)
+	}
+
+	var log eventLog
+	c := New(Config{Store: st, OnEvent: log.add})
+	if err := c.AddSweep("sw", spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got []dsmc.SweepEvent
+	for _, e := range log.events {
+		if e.Job == jobs[0].ID {
+			got = append(got, e)
+		}
+	}
+	if len(got) != 3 || got[0].Type != "job-started" || got[1].Type != "job-progress" || got[2].Type != "job-done" {
+		t.Fatalf("store-satisfied job events: %+v, want job-started, job-progress, job-done", got)
+	}
+	if p := got[1]; p.StepsDone != jobs[0].StepsTotal || p.StepsTotal != jobs[0].StepsTotal {
+		t.Fatalf("store-satisfied progress %d/%d, want %d/%d", p.StepsDone, p.StepsTotal, jobs[0].StepsTotal, jobs[0].StepsTotal)
+	}
+	l := mustPoll(t, c, "w1")
+	if l.Job != jobs[1].ID {
+		t.Fatalf("dispatched %s, want only the unstored %s", l.Job, jobs[1].ID)
+	}
+	if l2, _ := c.Poll("w2"); l2 != nil {
+		t.Fatalf("store-satisfied job dispatched as %s", l2.Job)
+	}
 }

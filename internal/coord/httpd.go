@@ -26,11 +26,21 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
+// maxControlBody bounds the JSON bodies of the control calls (poll,
+// heartbeat, release, fail) at dsmcd's submit limit.
+const maxControlBody = 1 << 20
+
+// decodeControl decodes a control call's JSON body, refusing bodies
+// over maxControlBody.
+func decodeControl(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(v)
+}
+
 func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Worker string `json:"worker"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Worker == "" {
+	if err := decodeControl(w, r, &req); err != nil || req.Worker == "" {
 		http.Error(w, "bad poll request", http.StatusBadRequest)
 		return
 	}
@@ -48,7 +58,7 @@ func (c *Coordinator) handlePoll(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	var hb Heartbeat
-	if err := json.NewDecoder(r.Body).Decode(&hb); err != nil {
+	if err := decodeControl(w, r, &hb); err != nil {
 		http.Error(w, "bad heartbeat", http.StatusBadRequest)
 		return
 	}
@@ -125,7 +135,7 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		StepsDone int `json:"steps_done"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeControl(w, r, &req); err != nil {
 		http.Error(w, "bad release", http.StatusBadRequest)
 		return
 	}
@@ -144,7 +154,7 @@ func (c *Coordinator) handleFail(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Error string `json:"error"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeControl(w, r, &req); err != nil {
 		http.Error(w, "bad fail request", http.StatusBadRequest)
 		return
 	}

@@ -1,10 +1,13 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -84,5 +87,40 @@ func TestHTTPTransport(t *testing.T) {
 	missing := &Lease{Sweep: "nope", Job: "rarefied/r000", LeaseID: "l1"}
 	if err := q.SaveCheckpoint(context.Background(), missing, []byte("x")); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("unknown sweep upload: got %v, want ErrUnknown", err)
+	}
+}
+
+// TestOversizedHeartbeatRejected: a control body over 1 MiB gets 400
+// and does not renew the lease, which then expires on schedule.
+func TestOversizedHeartbeatRejected(t *testing.T) {
+	clk := newFakeClock()
+	c := New(Config{LeaseTTL: 10 * time.Second, now: clk.now})
+	if err := c.AddSweep("sw", tinySpec(), nil); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(c.Handler())
+	defer ts.Close()
+	l := mustPoll(t, c, "w1")
+
+	clk.advance(6 * time.Second)
+	body, err := json.Marshal(map[string]any{
+		"worker": "w1", "sweep": l.Sweep, "job": l.Job, "lease": l.LeaseID, "steps_done": 1,
+		"pad": strings.Repeat("x", 2<<20),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/coord/v1/heartbeat", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("2 MiB heartbeat: got status %d, want 400", resp.StatusCode)
+	}
+
+	clk.advance(5 * time.Second) // 11s after the grant: past the unrenewed TTL
+	if status, _ := c.HandleHeartbeat(Heartbeat{Worker: "w1", Sweep: l.Sweep, Job: l.Job, Lease: l.LeaseID}); status != HBAbandon {
+		t.Fatalf("heartbeat after the unrenewed TTL: got %q, want abandon", status)
 	}
 }

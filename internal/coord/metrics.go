@@ -54,24 +54,11 @@ var (
 // and the age of the stalest live worker's last contact. It feeds the
 // NDJSON keepalive records dsmcd emits.
 func (c *Coordinator) Stats() dsmc.SweepStatus {
+	var st dsmc.SweepStatus
+	st.ActiveJobs, st.QueueDepth = c.core.Backlog()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
-	var st dsmc.SweepStatus
-	for _, id := range c.order {
-		sw := c.sweeps[id]
-		if sw.finished || sw.failed {
-			continue
-		}
-		for _, j := range sw.jobs {
-			switch j.phase {
-			case jobLeased:
-				st.ActiveJobs++
-			case jobPending:
-				st.QueueDepth++
-			}
-		}
-	}
 	st.Workers = len(c.workers)
 	for _, w := range c.workers {
 		if age := now.Sub(w.lastSeen).Seconds(); age > st.MaxHeartbeatAgeSec {
@@ -90,25 +77,10 @@ func (c *Coordinator) Stats() dsmc.SweepStatus {
 // this process's own dsmc_engine_* families. dsmcd composes it after
 // obs.Default.WriteText on GET /metrics.
 func (c *Coordinator) WriteMetrics(w io.Writer) error {
+	inflight, queued := c.core.Backlog()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.cfg.now()
-
-	var queued, inflight int
-	for _, id := range c.order {
-		sw := c.sweeps[id]
-		if sw.finished || sw.failed {
-			continue
-		}
-		for _, j := range sw.jobs {
-			switch j.phase {
-			case jobLeased:
-				inflight++
-			case jobPending:
-				queued++
-			}
-		}
-	}
 
 	var b strings.Builder
 	gauge := func(name, help string, v float64) {

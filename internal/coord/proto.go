@@ -1,11 +1,15 @@
-// Package coord distributes a sweep's job DAG across worker processes
-// and survives their failure. It sits above the public dsmc API — the
-// coordinator enumerates jobs with dsmc.SweepJobs, pull-based workers
-// execute them with dsmc.RunSweepJob, and the coordinator assembles the
-// uploaded outputs with dsmc.AssembleSweepResult — so a distributed
-// sweep shares every line of lowering, seeding, stepping and
-// aggregation code with the in-process path and its result is
-// bit-identical to a single-process run.
+// Package coord distributes a sweep's jobs across worker processes and
+// survives their failure. It is the wire shell over the job core in
+// internal/run — the one sweep executor, which in-process dsmc.RunSweep
+// drives too — and adds the HTTP protocol, its client, the pull-Worker,
+// the fleet table and the dsmc_coord_* telemetry. It sits above the
+// public dsmc API: the coordinator enumerates jobs with dsmc.SweepJobs,
+// pull-based workers execute them with dsmc.RunSweepJob, and the
+// coordinator assembles the uploaded outputs with
+// dsmc.AssembleSweepResult, so a distributed sweep shares every line of
+// lowering, seeding, stepping, scheduling and aggregation code with the
+// in-process path and its result is bit-identical to a single-process
+// run.
 //
 // Protocol (modeled on dagu's coordinator protocol: workers poll for
 // work, the coordinator dispatches leases, heartbeats carry liveness and
@@ -29,34 +33,31 @@
 // computing) gets 410 on every mutation, so redelivered uploads and
 // completions are rejected idempotently and can never corrupt a
 // redispatched job's state. A job that exhausts its dispatch budget is
-// failed permanently and the failure skips forward through the DAG: the
-// point's aggregation and every remaining undispatched job are marked
-// skipped and the sweep reports the first error, exactly like the
-// in-process executor.
+// failed permanently: the core marks every unfinished job and point
+// aggregation of its sweep skipped and the sweep reports the first
+// error, as an in-process run does.
 package coord
 
 import (
 	"encoding/json"
-	"errors"
 
 	"dsmc"
 	"dsmc/internal/obs"
+	"dsmc/internal/run"
 	"dsmc/internal/store"
 )
 
-// Sentinel errors of the coordinator API. The HTTP layer maps them to
-// status codes and the client maps the codes back, so in-process and
-// remote queues behave identically.
+// Sentinel errors of the coordinator API: the job core's. The HTTP
+// layer maps them to status codes and the client maps the codes back,
+// so in-process and remote queues behave identically.
 var (
 	// ErrStaleLease rejects a mutation under a lease that is no longer
-	// the job's current lease — expired, released, superseded by a
-	// redispatch, or on a sweep that already failed. The rejection is
-	// idempotent: repeating the call changes nothing on either side, and
-	// the worker's reaction is always "abandon the job".
-	ErrStaleLease = errors.New("coord: stale lease")
+	// the job's current lease; the worker's answer is always to abandon
+	// the job.
+	ErrStaleLease = run.ErrStaleLease
 	// ErrUnknown rejects references to sweeps or jobs the coordinator
 	// does not track.
-	ErrUnknown = errors.New("coord: unknown sweep or job")
+	ErrUnknown = run.ErrUnknown
 )
 
 // Lease is a dispatched job: the sweep spec to lower, the (point,
@@ -128,25 +129,12 @@ type WorkerStatus struct {
 
 // EncodeOutput serializes a replica output bit-exactly.
 func EncodeOutput(o *dsmc.ReplicaOutput) []byte {
-	return store.EncodeOutput(&store.Output{
-		Fields:        o.Fields,
-		ShockAngleDeg: o.ShockAngleDeg,
-		Collisions:    o.Collisions,
-		NFlow:         o.NFlow,
-	})
+	return store.EncodeOutput((*store.Output)(o))
 }
 
 // DecodeOutput parses an encoded replica output, verifying the checksum
 // before trusting any of it.
 func DecodeOutput(data []byte) (*dsmc.ReplicaOutput, error) {
 	o, err := store.DecodeOutput(data)
-	if err != nil {
-		return nil, err
-	}
-	return &dsmc.ReplicaOutput{
-		Fields:        o.Fields,
-		ShockAngleDeg: o.ShockAngleDeg,
-		Collisions:    o.Collisions,
-		NFlow:         o.NFlow,
-	}, nil
+	return (*dsmc.ReplicaOutput)(o), err
 }

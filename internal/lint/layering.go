@@ -83,20 +83,21 @@ var layerAllows = map[string][]string{
 	},
 	// golden: FNV bit-identity pinning over both backends.
 	"golden": {"dsmc/internal/kernel", "dsmc/internal/obs", "dsmc/internal/sim", "dsmc/internal/sim3"},
-	// run: job DAG, aggregation, checkpoint/memoization orchestration.
+	// run: the sweep job core, aggregation, checkpoint/memoization
+	// orchestration.
 	"run": {
 		"dsmc/internal/ckpt", "dsmc/internal/grid", "dsmc/internal/kernel",
 		"dsmc/internal/molec", "dsmc/internal/rng", "dsmc/internal/sample",
 		"dsmc/internal/sim", "dsmc/internal/sim3", "dsmc/internal/store",
 	},
-	// coord: the distributed-sweep coordinator and pull-worker. It sits
-	// ABOVE the public package — jobs are enumerated, run and assembled
-	// through the dsmc distribution surface — so the only internal
-	// packages it may reach are the obs telemetry leaf and the result
-	// store it memoizes dispatch against; that keeps the wire protocol
-	// honest (a worker process has exactly the information an API client
-	// has, plus its own instruments — the store is coordinator-side).
-	"coord": {"dsmc/internal/obs", "dsmc/internal/store"},
+	// coord: the wire shell of distributed sweeps — HTTP protocol,
+	// pull-worker and fleet table — over run's job core, the state
+	// machine in-process sweeps run on too. It sits ABOVE the public
+	// package: jobs are enumerated, run and assembled through the dsmc
+	// distribution surface, so a worker process has exactly the
+	// information an API client has. Beyond the core it reaches only the
+	// obs telemetry leaf and the result store the core memoizes against.
+	"coord": {"dsmc/internal/obs", "dsmc/internal/run", "dsmc/internal/store"},
 	// root: the public dsmc package — composes backends and run, but
 	// never reaches under engine's hood directly.
 	"root": {

@@ -35,7 +35,7 @@ type Aggregate struct {
 // welford is the textbook single-pass mean/M2 accumulator. Merging
 // replicas strictly in index order makes every aggregate bit-identical
 // regardless of pool size or completion order — the scheduler hands the
-// fan-in node the full result slice, never a stream.
+// fan-in the full result slice, never a stream.
 type welford struct {
 	n    int
 	mean float64
@@ -74,8 +74,7 @@ func (w *welford) scalar(dropped int) ScalarStats {
 // aggregate fans in one scenario's replica results, merging in replica-
 // index order (per quantity, so every field's statistics are bit-
 // identical for any pool size). results must be fully populated (the
-// scheduler guarantees it: the aggregate node depends on every replica
-// node).
+// core fans a point in only once every replica is done).
 func aggregate(scenario string, quantities []string, results []*ReplicaResult) *Aggregate {
 	agg := &Aggregate{Scenario: scenario, Replicas: len(results), Fields: map[string]FieldStats{}}
 	if len(results) == 0 {

@@ -61,7 +61,7 @@ type ReplicaResult struct {
 // jobCkpt describes the checkpoint policy of one replica job.
 type jobCkpt struct {
 	store CkptStore // nil disables checkpointing
-	every int       // steps between checkpoints (> 0 when store is set)
+	every int       // steps between checkpoints (default 50)
 }
 
 // replicaSim is the slice of engine-backend surface one replica job
@@ -178,6 +178,9 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 
 	done := 0 // steps completed, warm and sampling combined
 	total := warm + sampleSteps
+	if ck.every <= 0 {
+		ck.every = 50
+	}
 	fp := specFingerprint(sc, warm, sampleSteps)
 	if ck.store != nil {
 		restored, n, err := job.loadCheckpoint(ck.store, seed, fp)
@@ -197,7 +200,7 @@ func runReplica(ctx context.Context, sc Scenario, quantities []string, seed uint
 			return nil, err
 		}
 		chunk := total - done
-		if ck.store != nil && ck.every > 0 && chunk > ck.every {
+		if ck.store != nil && chunk > ck.every {
 			chunk = ck.every
 		}
 		cancelled := false
@@ -328,10 +331,10 @@ func (job *replicaJob) loadCheckpoint(store CkptStore, seed, fp uint64) (bool, i
 		return false, 0, r.Err()
 	}
 	if ckSeed != seed {
-		return false, 0, fmt.Errorf("job checkpoint: seed %#x does not match job seed %#x", ckSeed, seed)
+		return false, 0, fmt.Errorf("%w: seed %#x does not match job seed %#x", errForeignCheckpoint, ckSeed, seed)
 	}
 	if ckFp != fp {
-		return false, 0, fmt.Errorf("job checkpoint: spec fingerprint %#x does not match %#x (step budget or physics parameters changed; use a fresh checkpoint directory)", ckFp, fp)
+		return false, 0, fmt.Errorf("%w: spec fingerprint %#x does not match %#x (step budget or physics parameters changed; use a fresh checkpoint directory)", errForeignCheckpoint, ckFp, fp)
 	}
 	if err := job.sim.RestoreSections(r); err != nil {
 		return false, 0, fmt.Errorf("job checkpoint: %w", err)
@@ -344,6 +347,10 @@ func (job *replicaJob) loadCheckpoint(store CkptStore, seed, fp uint64) (bool, i
 	}
 	return true, done, nil
 }
+
+// errForeignCheckpoint marks a structurally valid job checkpoint that
+// was written for another seed or spec.
+var errForeignCheckpoint = errors.New("job checkpoint belongs to another seed or spec")
 
 // jobCkptPath names a job's checkpoint file inside the sweep's
 // checkpoint directory.

@@ -9,10 +9,10 @@ import (
 	"dsmc/internal/store"
 )
 
-// This file is the sweep-memoization bridge between the job DAG and the
-// content-addressed result store: key derivation from the determinism
-// contract, the aggregate artifact codec, and the load/publish hooks
-// the executor calls around every replica and fan-in node.
+// This file is the sweep-memoization bridge between the job core and
+// the content-addressed result store: key derivation from the
+// determinism contract, the aggregate artifact codec, and the
+// load/publish hooks run around every replica job and point fan-in.
 //
 // A replica's bits are a pure function of (spec fingerprint, master
 // seed, point index, replica index) — specFingerprint pins the
@@ -59,34 +59,23 @@ func (sp *Spec) AggregateKey(scenarioIdx int) store.Key {
 // returns the decoded result; structurally-invalid content that slipped
 // past the hash check is rejected (quarantined) and reads as a miss, so
 // the caller recomputes.
-func memoReplica(st *store.Store, key store.Key) (*ReplicaResult, bool) {
-	data, _, ok := st.Get(key.ID())
+func memoReplica(st *store.Store, key string) (*ReplicaResult, bool) {
+	data, _, ok := st.Get(key)
 	if !ok {
 		return nil, false
 	}
 	o, err := store.DecodeOutput(data)
 	if err != nil {
-		st.Reject(key.ID())
+		st.Reject(key)
 		return nil, false
 	}
-	return &ReplicaResult{
-		Fields:        o.Fields,
-		ShockAngleDeg: o.ShockAngleDeg,
-		Collisions:    o.Collisions,
-		NFlow:         o.NFlow,
-	}, true
+	return (*ReplicaResult)(o), true
 }
 
 // publishReplica stores a freshly computed replica output. Best-effort:
 // a publish failure costs future recomputation, never the current run.
-func publishReplica(st *store.Store, key store.Key, res *ReplicaResult) {
-	data := store.EncodeOutput(&store.Output{
-		Fields:        res.Fields,
-		ShockAngleDeg: res.ShockAngleDeg,
-		Collisions:    res.Collisions,
-		NFlow:         res.NFlow,
-	})
-	st.Put(key.ID(), data)
+func publishReplica(st *store.Store, key string, res *ReplicaResult) {
+	st.Put(key, store.EncodeOutput((*store.Output)(res)))
 }
 
 // memoAggregate consults the store for a point's aggregate. The artifact

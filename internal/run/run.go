@@ -1,21 +1,29 @@
 // Package run is the run-orchestration layer over the reference
-// backends: it models an ensemble or parameter sweep as a small job DAG
-// — replica simulations fan out, per-scenario aggregations fan in — and
-// executes it over a bounded pool of concurrent whole simulations. This
-// is the outer level of parallelism the paper's single hand-launched
-// runs lack: DSMC answers are statistical, so the production question is
-// "run N replicas per sweep point, aggregate into mean/variance/CI, and
-// serve the result", and whole-simulation jobs scale on multi-core hosts
-// even where the inner worker sharding is bandwidth-bound.
+// backends. An ensemble or parameter sweep is a two-level job graph:
+// replica simulations fan out, and each point's aggregation fans in.
+// The package holds the one executor for it, the job core (core.go): a
+// lease state machine that registers sweeps, memoizes them against the
+// result store, dispatches jobs in (point, replica) order under a pool
+// bound, fences stale leases, retries or fails jobs, and fans each
+// point in once its replicas are done. Run drives the core in process
+// with a pool of goroutines; the distributed coordinator
+// (internal/coord) puts the same core behind its HTTP protocol.
+//
+// This is the outer level of parallelism the paper's single
+// hand-launched runs lack: DSMC answers are statistical, so the
+// production question is "run N replicas per sweep point, aggregate into
+// mean/variance/CI, and serve the result", and whole-simulation jobs
+// scale on multi-core hosts even where the inner worker sharding is
+// bandwidth-bound.
 //
 // Determinism: every job derives its seed from the spec's base seed
 // (rng.JobSeed — collision-free by construction), jobs never share
-// mutable state, and aggregation merges replica results strictly in
-// index order inside fan-in nodes, so a sweep's aggregates are
-// bit-identical for any pool size and any completion order. With a
-// checkpoint directory set, jobs persist engine + domain + accumulator
-// state every few steps (internal/ckpt) and resume exactly: a killed and
-// restarted sweep produces the same bits as an uninterrupted one.
+// mutable state, and a point's fan-in merges replica results strictly in
+// index order, so a sweep's aggregates are bit-identical for any pool
+// size and any completion order. With a checkpoint directory set, jobs
+// persist engine + domain + accumulator state every few steps
+// (internal/ckpt) and resume exactly: a killed and restarted sweep
+// produces the same bits as an uninterrupted one.
 package run
 
 import (
@@ -108,14 +116,14 @@ func (sp *Spec) quantities() []string {
 	return sp.Quantities
 }
 
-// JobName is the canonical ID of one replica job — the same string the
-// in-process executor uses as DAG node ID and event job name, so
-// distributed runs and local runs report identical job tables.
+// JobName is the canonical ID of one replica job in the core and in
+// every event, so distributed runs and local runs report identical job
+// tables.
 func JobName(scenario string, replica int) string {
 	return fmt.Sprintf("%s/r%03d", scenario, replica)
 }
 
-// AggregateName is the canonical ID of a scenario's fan-in node.
+// AggregateName is the canonical ID of a scenario's fan-in in events.
 func AggregateName(scenario string) string { return scenario + "/aggregate" }
 
 // JobIO carries the side channels of a single-job execution: the
@@ -153,16 +161,9 @@ func RunJob(ctx context.Context, sp Spec, scenarioIdx, replica int, io JobIO) (*
 	if replica < 0 || replica >= sp.Replicas {
 		return nil, fmt.Errorf("run: replica %d out of range (%d replicas)", replica, sp.Replicas)
 	}
-	var ck jobCkpt
-	if io.Ckpt != nil {
-		every := io.Every
-		if every <= 0 {
-			every = 50
-		}
-		ck = jobCkpt{store: io.Ckpt, every: every}
-	}
+	ck := jobCkpt{store: io.Ckpt, every: io.Every}
 	if io.Results != nil {
-		if res, ok := memoReplica(io.Results, sp.OutputKey(scenarioIdx, replica)); ok {
+		if res, ok := memoReplica(io.Results, sp.OutputKey(scenarioIdx, replica).ID()); ok {
 			if io.Progress != nil {
 				total := sp.WarmSteps + sp.SampleSteps
 				io.Progress(total, total)
@@ -176,14 +177,14 @@ func RunJob(ctx context.Context, sp Spec, scenarioIdx, replica int, io JobIO) (*
 		return nil, err
 	}
 	if io.Results != nil {
-		publishReplica(io.Results, sp.OutputKey(scenarioIdx, replica), res)
+		publishReplica(io.Results, sp.OutputKey(scenarioIdx, replica).ID(), res)
 	}
 	return res, nil
 }
 
 // AggregateScenario fans in one scenario's replica results — results
 // must be indexed by replica and fully populated — with the identical
-// index-order Welford merge the in-process fan-in node runs, so a
+// index-order Welford merge the in-process fan-in runs, so a
 // distributed sweep's aggregates are bit-identical to the local run's.
 func (sp *Spec) AggregateScenario(scenarioIdx int, results []*ReplicaResult) *Aggregate {
 	return aggregate(sp.Scenarios[scenarioIdx].Name, sp.quantities(), results)
@@ -207,6 +208,12 @@ const (
 	EventJobFailed     EventType = "job-failed"
 	EventJobSkipped    EventType = "job-skipped"
 	EventAggregateDone EventType = "aggregate-done"
+	// EventJobLost reports a lease taken back (expired, or an error with
+	// attempts left); the job will be redispatched.
+	EventJobLost EventType = "job-lost"
+	// EventJobReleased reports a lease handed back gracefully; no
+	// attempt is consumed.
+	EventJobReleased EventType = "job-released"
 )
 
 // Event is one observation of sweep progress. Events are delivered
@@ -223,8 +230,17 @@ type Event struct {
 	Err        string `json:"err,omitempty"`
 }
 
-// Run executes the spec's job DAG and returns the per-scenario
-// aggregates. onEvent, when non-nil, observes progress (serialized).
+// Run executes the spec in process and returns the per-scenario
+// aggregates. onEvent, when non-nil, observes progress; calls are
+// serialized and all of them happen before Run returns.
+//
+// Run is the degenerate case of the job core: it registers the sweep
+// with a private core and starts Pool goroutines that each take jobs
+// until none are pending. Leases never expire, because an in-process
+// job is only lost with the process, and each job gets one attempt,
+// because a local error is deterministic. A failed job cancels the jobs
+// still running; cancellation checkpoints every in-flight job and
+// returns an error wrapping ctx.Err().
 func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
@@ -233,111 +249,87 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 	if pool <= 0 {
 		pool = runtime.NumCPU()
 	}
-	ckEvery := sp.CheckpointEvery
-	if ckEvery <= 0 {
-		ckEvery = 50
-	}
 	if sp.CheckpointDir != "" {
 		if err := os.MkdirAll(sp.CheckpointDir, 0o755); err != nil {
 			return nil, err
 		}
 	}
 
-	// Events may arrive from any job goroutine; serialize them here so
-	// observers (NDJSON streams, progress tables) need no locking.
-	var evMu sync.Mutex
-	emit := func(e Event) {
-		if onEvent == nil {
-			return
-		}
-		evMu.Lock()
-		defer evMu.Unlock()
-		onEvent(e)
+	jobCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cfg := CoreConfig{Store: sp.Results}
+	if onEvent != nil {
+		cfg.OnEvent = func(_ string, e Event) { onEvent(e) }
 	}
-
-	// Result slots are preallocated per (scenario, replica); jobs write
-	// only their own slot, aggregates read their scenario's slice after
-	// the DAG ordering guarantees it is fully populated.
-	results := make([][]*ReplicaResult, len(sp.Scenarios))
+	core := NewCore(cfg)
 	aggs := make([]*Aggregate, len(sp.Scenarios))
-	var nodes []Node
-	for si := range sp.Scenarios {
-		si := si
-		sc := sp.Scenarios[si]
-		results[si] = make([]*ReplicaResult, sp.Replicas)
-		var deps []string
-		for r := 0; r < sp.Replicas; r++ {
-			r := r
-			id := JobName(sc.Name, r)
-			deps = append(deps, id)
-			nodes = append(nodes, Node{
-				ID: id,
-				Run: func(ctx context.Context) error {
-					if sp.Results != nil {
-						if res, ok := memoReplica(sp.Results, sp.OutputKey(si, r)); ok {
-							results[si][r] = res
-							total := sp.WarmSteps + sp.SampleSteps
-							emit(Event{Type: EventJobProgress, Job: id, Scenario: sc.Name,
-								Replica: r, StepsDone: total, StepsTotal: total})
-							return nil
-						}
-					}
-					var ck jobCkpt
-					if sp.CheckpointDir != "" {
-						ck = jobCkpt{store: FileCkptStore{Path: jobCkptPath(sp.CheckpointDir, si, r)}, every: ckEvery}
-					}
-					seed := jobSeed(sp.BaseSeed, si, r)
-					res, err := runReplica(ctx, sc, sp.quantities(), seed, sp.WarmSteps, sp.SampleSteps, ck,
-						func(done, total int) {
-							emit(Event{Type: EventJobProgress, Job: id, Scenario: sc.Name,
-								Replica: r, StepsDone: done, StepsTotal: total})
-						}, nil)
-					if err != nil {
-						return err
-					}
-					results[si][r] = res
-					if sp.Results != nil {
-						publishReplica(sp.Results, sp.OutputKey(si, r), res)
-					}
-					return nil
-				},
-			})
-		}
-		nodes = append(nodes, Node{
-			ID:   AggregateName(sc.Name),
-			Deps: deps,
-			Run: func(ctx context.Context) error {
-				if sp.Results != nil {
-					if agg, ok := memoAggregate(sp.Results, sp.AggregateKey(si), sc.Name, sp.quantities()); ok {
-						aggs[si] = agg
-						emit(Event{Type: EventAggregateDone, Job: AggregateName(sc.Name), Scenario: sc.Name})
-						return nil
-					}
-				}
-				aggs[si] = aggregate(sc.Name, sp.quantities(), results[si])
-				if sp.Results != nil {
-					publishAggregate(sp.Results, sp.AggregateKey(si), aggs[si], sp.quantities())
-				}
-				emit(Event{Type: EventAggregateDone, Job: AggregateName(sc.Name), Scenario: sc.Name})
-				return nil
-			},
-		})
-	}
-
-	err := ExecuteDAG(ctx, nodes, pool, func(id string, st NodeState, nodeErr error) {
-		switch st {
-		case NodeRunning:
-			emit(Event{Type: EventJobStarted, Job: id})
-		case NodeFailed:
-			emit(Event{Type: EventJobFailed, Job: id, Err: nodeErr.Error()})
-		case NodeSkipped:
-			emit(Event{Type: EventJobSkipped, Job: id})
-		case NodeDone:
-			emit(Event{Type: EventJobDone, Job: id})
-		}
+	ended := false
+	var failure error
+	core.Add(Sweep{
+		Jobs:  sp.Jobs(),
+		Pool:  pool,
+		FanIn: func(pt int, outs []*ReplicaResult) { aggs[pt] = sp.fanIn(pt, outs) },
+		OnDone: func(_ [][]*ReplicaResult, err error) {
+			ended, failure = true, err
+			cancel()
+		},
 	})
-	if err != nil {
-		return nil, err
+
+	var wg sync.WaitGroup
+	for w := 0; w < pool; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for jobCtx.Err() == nil {
+				l := core.Poll("")
+				if l == nil {
+					return
+				}
+				sp.runLeased(jobCtx, core, l)
+			}
+		}()
+	}
+	wg.Wait()
+	switch {
+	case failure != nil:
+		return nil, fmt.Errorf("run: %w", failure)
+	case !ended:
+		return nil, fmt.Errorf("run: %w", ctx.Err())
 	}
 	return &Result{Name: sp.Name, Aggregates: aggs}, nil
+}
+
+// runLeased executes one leased job in process and reports its progress
+// and outcome to the core. Stale-lease answers need no handling: a
+// lease is only revoked once the sweep has failed.
+func (sp *Spec) runLeased(ctx context.Context, core *Core, l *Lease) {
+	j := l.Job
+	var ck jobCkpt
+	if sp.CheckpointDir != "" {
+		ck = jobCkpt{store: FileCkptStore{Path: jobCkptPath(sp.CheckpointDir, j.Point, j.Replica)}, every: sp.CheckpointEvery}
+	}
+	progress := func(done, _ int) { core.Heartbeat(l.Sweep, j.ID, l.LeaseID, done) }
+	res, err := runReplica(ctx, sp.Scenarios[j.Point], sp.quantities(), jobSeed(sp.BaseSeed, j.Point, j.Replica),
+		sp.WarmSteps, sp.SampleSteps, ck, progress, nil)
+	if err != nil {
+		core.Fail(l.Sweep, j.ID, l.LeaseID, err)
+		return
+	}
+	core.Complete(l.Sweep, j.ID, l.LeaseID, res)
+}
+
+// fanIn produces a point's aggregate: served from the store when it
+// holds one, else merged in replica-index order and published.
+func (sp *Spec) fanIn(pt int, outs []*ReplicaResult) *Aggregate {
+	name, qs := sp.Scenarios[pt].Name, sp.quantities()
+	if sp.Results != nil {
+		if agg, ok := memoAggregate(sp.Results, sp.AggregateKey(pt), name, qs); ok {
+			return agg
+		}
+	}
+	agg := aggregate(name, qs, outs)
+	if sp.Results != nil {
+		publishAggregate(sp.Results, sp.AggregateKey(pt), agg, qs)
+	}
+	return agg
 }

@@ -8,10 +8,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dsmc/internal/geom"
 	"dsmc/internal/sim"
@@ -80,7 +78,7 @@ func aggEqual(a, b *Aggregate) bool {
 
 // TestPoolSizeDeterminism: the same sweep at pool sizes 1 and 8 yields
 // byte-identical aggregates — pool size only changes scheduling, and
-// aggregation merges in replica-index order inside the fan-in node.
+// aggregation merges in replica-index order inside the point fan-in.
 func TestPoolSizeDeterminism(t *testing.T) {
 	var got [2]*Result
 	for i, pool := range []int{1, 8} {
@@ -100,54 +98,52 @@ func TestPoolSizeDeterminism(t *testing.T) {
 	}
 }
 
-// TestCompletionOrderIndependence drives the scheduler with fan-out
-// nodes whose completion order is forcibly reversed (later replicas
-// finish first) and asserts the fan-in sees the same aggregate as the
-// in-order execution: result slots are indexed, never appended.
+// TestCompletionOrderIndependence completes one point's replicas
+// through the core in reverse order and asserts the fan-in sees the
+// same aggregate as the in-order completion: outputs are indexed by
+// replica, never appended.
 func TestCompletionOrderIndependence(t *testing.T) {
+	const n = 6
 	build := func(reverse bool) *Aggregate {
-		const n = 6
-		results := make([]*ReplicaResult, n)
-		var agg *Aggregate
-		nodes := make([]Node, 0, n+1)
-		deps := make([]string, 0, n)
-		for r := 0; r < n; r++ {
-			r := r
-			id := string(rune('a' + r))
-			deps = append(deps, id)
-			nodes = append(nodes, Node{
-				ID: id,
-				Run: func(ctx context.Context) error {
-					if reverse {
-						// Later indices finish first.
-						time.Sleep(time.Duration(n-r) * 5 * time.Millisecond)
-					}
-					results[r] = &ReplicaResult{
-						Fields: map[string][]float64{
-							"density":     {float64(r), float64(r) * 0.5},
-							"temperature": {1 + float64(r), 2 * float64(r)},
-						},
-						ShockAngleDeg: 40 + float64(r),
-						Collisions:    int64(100 * r),
-						NFlow:         1000 + r,
-					}
-					return nil
-				},
-			})
+		jobs := make([]Job, n)
+		for r := range jobs {
+			jobs[r] = Job{ID: JobName("s", r), Replica: r, StepsTotal: 1, Scenario: "s"}
 		}
-		nodes = append(nodes, Node{
-			ID: "agg", Deps: deps,
-			Run: func(ctx context.Context) error {
-				agg = aggregate("s", []string{"density", "temperature"}, results)
-				return nil
-			},
-		})
-		if err := ExecuteDAG(context.Background(), nodes, n, nil); err != nil {
-			t.Fatal(err)
+		var agg *Aggregate
+		core := NewCore(CoreConfig{})
+		core.Add(Sweep{ID: "sw", Jobs: jobs, FanIn: func(_ int, outs []*ReplicaResult) {
+			agg = aggregate("s", []string{"density", "temperature"}, outs)
+		}})
+		leases := make([]*Lease, n)
+		for i := range leases {
+			leases[i] = core.Poll("w")
+		}
+		for i := range leases {
+			l := leases[i]
+			if reverse {
+				l = leases[n-1-i]
+			}
+			r := float64(l.Job.Replica)
+			out := &ReplicaResult{
+				Fields: map[string][]float64{
+					"density":     {r, r * 0.5},
+					"temperature": {1 + r, 2 * r},
+				},
+				ShockAngleDeg: 40 + r,
+				Collisions:    int64(100 * r),
+				NFlow:         1000 + l.Job.Replica,
+			}
+			if err := core.Complete(l.Sweep, l.Job.ID, l.LeaseID, out); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return agg
 	}
-	if a, b := build(false), build(true); !aggEqual(a, b) {
+	a, b := build(false), build(true)
+	if a == nil || b == nil {
+		t.Fatal("the point never fanned in")
+	}
+	if !aggEqual(a, b) {
 		t.Error("aggregate depends on completion order")
 	}
 }
@@ -238,86 +234,6 @@ func TestJobSeedsDistinctAcrossScenariosAndReplicas(t *testing.T) {
 			}
 			seen[s] = ""
 		}
-	}
-}
-
-func TestDAGValidation(t *testing.T) {
-	noop := func(ctx context.Context) error { return nil }
-	cases := []struct {
-		name  string
-		nodes []Node
-	}{
-		{"duplicate-id", []Node{{ID: "a", Run: noop}, {ID: "a", Run: noop}}},
-		{"unknown-dep", []Node{{ID: "a", Deps: []string{"ghost"}, Run: noop}}},
-		{"cycle", []Node{
-			{ID: "a", Deps: []string{"b"}, Run: noop},
-			{ID: "b", Deps: []string{"a"}, Run: noop},
-		}},
-		{"empty-id", []Node{{ID: "", Run: noop}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := ExecuteDAG(context.Background(), tc.nodes, 2, nil); err == nil {
-				t.Error("invalid DAG executed without error")
-			}
-		})
-	}
-}
-
-// TestDAGFailurePropagation: a failing node stops new launches, its
-// dependents are reported skipped, and the first error surfaces.
-func TestDAGFailurePropagation(t *testing.T) {
-	boom := errors.New("boom")
-	var ran sync.Map
-	nodes := []Node{
-		{ID: "bad", Run: func(ctx context.Context) error { return boom }},
-		{ID: "child", Deps: []string{"bad"}, Run: func(ctx context.Context) error {
-			ran.Store("child", true)
-			return nil
-		}},
-	}
-	var skipped []string
-	err := ExecuteDAG(context.Background(), nodes, 1, func(id string, st NodeState, _ error) {
-		if st == NodeSkipped {
-			skipped = append(skipped, id)
-		}
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("error %v does not wrap the node failure", err)
-	}
-	if _, ok := ran.Load("child"); ok {
-		t.Error("dependent of failed node ran")
-	}
-	if len(skipped) != 1 || skipped[0] != "child" {
-		t.Errorf("skipped = %v, want [child]", skipped)
-	}
-}
-
-// TestDAGBoundedConcurrency: at most pool nodes run at once.
-func TestDAGBoundedConcurrency(t *testing.T) {
-	const pool = 3
-	var cur, peak atomic.Int64
-	var nodes []Node
-	for i := 0; i < 12; i++ {
-		id := string(rune('a' + i))
-		nodes = append(nodes, Node{ID: id, Run: func(ctx context.Context) error {
-			n := cur.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-			time.Sleep(3 * time.Millisecond)
-			cur.Add(-1)
-			return nil
-		}})
-	}
-	if err := ExecuteDAG(context.Background(), nodes, pool, nil); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > pool {
-		t.Errorf("observed %d concurrent nodes, pool is %d", p, pool)
 	}
 }
 
@@ -493,5 +409,80 @@ func TestCheckpointSpecChangeRejected(t *testing.T) {
 				t.Error("changed spec resumed over the old checkpoint directory")
 			}
 		})
+	}
+}
+
+// TestRunFailureSkipsAggregate: a job that fails (here on a checkpoint
+// written for another seed) fails the sweep with an error that wraps
+// the job's own, emits exactly one job-failed, skips its point's
+// aggregate, and starts nothing after the failure.
+func TestRunFailureSkipsAggregate(t *testing.T) {
+	dir := t.TempDir()
+	plant := testSpec()
+	plant.Scenarios = plant.Scenarios[:1]
+	plant.Replicas = 1
+	plant.BaseSeed++
+	plant.CheckpointDir = dir
+	plant.CheckpointEvery = 4
+	if _, err := Run(context.Background(), plant, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	sp := testSpec()
+	sp.Scenarios = sp.Scenarios[:1]
+	sp.Replicas = 2
+	sp.Pool = 1
+	sp.CheckpointDir = dir
+	sp.CheckpointEvery = 4
+	var events []Event
+	_, err := Run(context.Background(), sp, func(e Event) { events = append(events, e) })
+	if !errors.Is(err, errForeignCheckpoint) {
+		t.Fatalf("error %v does not wrap the job's checkpoint error", err)
+	}
+	failed, failedAt := 0, -1
+	for i, e := range events {
+		if e.Type == EventJobFailed {
+			failed++
+			failedAt = i
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("job-failed events: got %d, want 1", failed)
+	}
+	aggSkipped := false
+	for _, e := range events[failedAt+1:] {
+		if e.Type == EventJobStarted {
+			t.Errorf("%s started after the failure", e.Job)
+		}
+		if e.Type == EventJobSkipped && e.Job == AggregateName("rarefied") {
+			aggSkipped = true
+		}
+	}
+	if !aggSkipped {
+		t.Error("the failed point's aggregate was not reported skipped")
+	}
+}
+
+// TestRunBoundedConcurrency: at most Pool jobs are between job-started
+// and job-done at any time.
+func TestRunBoundedConcurrency(t *testing.T) {
+	sp := testSpec() // 2 scenarios x 3 replicas = 6 jobs
+	sp.WarmSteps, sp.SampleSteps = 2, 2
+	sp.Pool = 2
+	running, peak := 0, 0
+	_, err := Run(context.Background(), sp, func(e Event) {
+		switch e.Type {
+		case EventJobStarted:
+			running++
+			peak = max(peak, running)
+		case EventJobDone:
+			running--
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peak > sp.Pool {
+		t.Errorf("observed %d jobs in flight, pool is %d", peak, sp.Pool)
 	}
 }

@@ -191,3 +191,35 @@ func TestSweepMemoCorruptionFallsBack(t *testing.T) {
 		t.Errorf("store index holds %d artifacts after recompute, want 6", len(idx))
 	}
 }
+
+// TestSweepMemoWarmProgressShape pins the event shape of a store hit: on
+// a warm re-run every replica job reports job-started, then a first
+// job-progress with every step already done, then job-done.
+func TestSweepMemoWarmProgressShape(t *testing.T) {
+	spec := memoSweepSpec(filepath.Join(t.TempDir(), "store"))
+	runMemoSweep(t, spec)
+
+	seen := map[string][]dsmc.SweepEvent{}
+	if _, err := dsmc.RunSweep(context.Background(), spec, func(e dsmc.SweepEvent) {
+		seen[e.Job] = append(seen[e.Job], e)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	replicas := 0
+	for job, evs := range seen {
+		if strings.HasSuffix(job, "/aggregate") {
+			continue
+		}
+		replicas++
+		if len(evs) != 3 || evs[0].Type != "job-started" || evs[1].Type != "job-progress" || evs[2].Type != "job-done" {
+			t.Errorf("%s: events %+v, want job-started, job-progress, job-done", job, evs)
+			continue
+		}
+		if p := evs[1]; p.StepsTotal == 0 || p.StepsDone != p.StepsTotal {
+			t.Errorf("%s: first progress %d/%d, want every step done", job, p.StepsDone, p.StepsTotal)
+		}
+	}
+	if replicas != 4 {
+		t.Errorf("saw events for %d replica jobs, want 4", replicas)
+	}
+}
