@@ -22,7 +22,7 @@ import (
 )
 
 // benchConfig is the paper's geometry at reduced particle density.
-func benchConfig(lambda float64, perCell float64) Config {
+func benchConfig(lambda float64, perCell float64) WedgeTunnel2D {
 	cfg := PaperConfig()
 	cfg.MeanFreePath = lambda
 	cfg.ParticlesPerCell = perCell
@@ -68,10 +68,7 @@ func BenchmarkFig4RarefiedStep(b *testing.B) {
 // BenchmarkFig4RarefiedStepCM is the same flow on the data-parallel
 // fixed-point Connection Machine backend — the paper's implementation.
 func BenchmarkFig4RarefiedStepCM(b *testing.B) {
-	cfg := benchConfig(0.5, 8)
-	cfg.Backend = ConnectionMachine
-	cfg.PhysProcs = 4096
-	s, err := NewSimulation(cfg)
+	s, err := NewCMSimulation(benchConfig(0.5, 8), 4096)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -327,20 +327,30 @@ func (rec *Record) append(name string, prec dsmc.Precision, workers, particles i
 		name, c.Particles, c.NsPerStep, c.UsPerParticleStep)
 }
 
+// rarefiedWedgeSpec is the base of the ensemble and memo cases: the
+// rarefied paper wedge at 8 particles per cell.
+func rarefiedWedgeSpec() *dsmc.ScenarioSpec {
+	cfg := dsmc.PaperConfig()
+	cfg.MeanFreePath = 0.5
+	cfg.ParticlesPerCell = 8
+	cfg.Seed = 1988
+	ss, err := dsmc.NewScenarioSpec(cfg)
+	if err != nil {
+		log.Fatalf("bench: %v", err)
+	}
+	return ss
+}
+
 // addEnsemble measures the run-orchestration subsystem's job throughput:
 // six replica jobs of the rarefied wedge (each warm+steps long) through
 // dsmc.RunSweep at the given pool size, recorded as jobs/minute. The
 // Workers column records the pool size for these cases.
 func (rec *Record) addEnsemble(name string, pool, warm, steps int) {
 	const replicas = 6
-	cfg := dsmc.PaperConfig()
-	cfg.MeanFreePath = 0.5
-	cfg.ParticlesPerCell = 8
-	cfg.Seed = 1988
 	t0 := time.Now()
 	res, err := dsmc.RunSweep(context.Background(), dsmc.SweepSpec{
 		Name:        "bench-ensemble",
-		Base:        cfg,
+		Scenario:    rarefiedWedgeSpec(),
 		Replicas:    replicas,
 		WarmSteps:   warm,
 		SampleSteps: steps,
@@ -375,13 +385,9 @@ func (rec *Record) addMemoPair(name string, warm, steps int) {
 		log.Fatalf("bench: %v", err)
 	}
 	defer os.RemoveAll(dir)
-	cfg := dsmc.PaperConfig()
-	cfg.MeanFreePath = 0.5
-	cfg.ParticlesPerCell = 8
-	cfg.Seed = 1988
 	spec := dsmc.SweepSpec{
 		Name:           "bench-memo",
-		Base:           cfg,
+		Scenario:       rarefiedWedgeSpec(),
 		Replicas:       replicas,
 		WarmSteps:      warm,
 		SampleSteps:    steps,

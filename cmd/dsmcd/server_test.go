@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,12 +18,16 @@ import (
 func tinySpec() dsmc.SweepSpec {
 	cfg := dsmc.PaperConfig()
 	cfg.GridNX, cfg.GridNY = 48, 24
-	cfg.Wedge = &dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
+	cfg.Wedge = dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
 	cfg.ParticlesPerCell = 3
 	cfg.Seed = 7
+	ss, err := dsmc.NewScenarioSpec(cfg)
+	if err != nil {
+		panic(err)
+	}
 	return dsmc.SweepSpec{
-		Name: "smoke",
-		Base: cfg,
+		Name:     "smoke",
+		Scenario: ss,
 		Points: []dsmc.SweepPoint{
 			{Name: "rarefied"},
 		},
@@ -151,42 +157,59 @@ func TestServerValidation(t *testing.T) {
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	post := func(body string) int {
+	// post submits a body and returns the status and the error message.
+	post := func(body string) (int, string) {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer resp.Body.Close()
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
 	}
-	if code := post("{not json"); code != http.StatusBadRequest {
+	if code, _ := post("{not json"); code != http.StatusBadRequest {
 		t.Errorf("malformed JSON: status %d", code)
 	}
-	if code := post(`{"unknown_field": 1}`); code != http.StatusBadRequest {
+	if code, _ := post(`{"unknown_field": 1}`); code != http.StatusBadRequest {
 		t.Errorf("unknown field: status %d", code)
 	}
+	// A spec still written against the removed flat "base" config is
+	// refused by name, not run without a scenario.
+	legacy := `{"base":{"GridNX":48,"GridNY":24,"Mach":4,"ThermalSpeed":0.125,"ParticlesPerCell":3},` +
+		`"replicas":1,"warm_steps":1,"sample_steps":1}`
+	if code, msg := post(legacy); code != http.StatusBadRequest || !strings.Contains(msg, `"base"`) {
+		t.Errorf("legacy base spec: status %d, error %q (want 400 naming \"base\")", code, msg)
+	}
 	bad := tinySpec()
-	bad.Base.Precision = "float16"
+	var params map[string]any
+	if err := json.Unmarshal(bad.Scenario.Params, &params); err != nil {
+		t.Fatal(err)
+	}
+	params["Precision"] = "float16"
+	bad.Scenario.Params, _ = json.Marshal(params)
 	raw, _ := json.Marshal(bad)
-	if code := post(string(raw)); code != http.StatusBadRequest {
-		t.Errorf("invalid precision: status %d", code)
+	if code, msg := post(string(raw)); code != http.StatusBadRequest || !strings.Contains(msg, "precision") {
+		t.Errorf("invalid precision: status %d, error %q", code, msg)
 	}
 	noReplicas := tinySpec()
 	noReplicas.Replicas = 0
 	raw, _ = json.Marshal(noReplicas)
-	if code := post(string(raw)); code != http.StatusBadRequest {
+	if code, _ := post(string(raw)); code != http.StatusBadRequest {
 		t.Errorf("zero replicas: status %d", code)
 	}
 	withDir := tinySpec()
 	withDir.CheckpointDir = "/tmp/evil"
 	raw, _ = json.Marshal(withDir)
-	if code := post(string(raw)); code != http.StatusBadRequest {
+	if code, _ := post(string(raw)); code != http.StatusBadRequest {
 		t.Errorf("client checkpoint dir: status %d", code)
 	}
 	withStore := tinySpec()
 	withStore.ResultStoreDir = "/tmp/evil-store"
 	raw, _ = json.Marshal(withStore)
-	if code := post(string(raw)); code != http.StatusBadRequest {
+	if code, _ := post(string(raw)); code != http.StatusBadRequest {
 		t.Errorf("client result store dir: status %d", code)
 	}
 
@@ -330,5 +353,41 @@ func TestServerRecovery(t *testing.T) {
 	}
 	if len(res.Points) != 1 {
 		t.Fatalf("recovered result has %d points", len(res.Points))
+	}
+}
+
+// TestServerRecoveryLegacyBaseSpec: a data directory holding an
+// unfinished sweep whose spec.json carries only the removed flat "base"
+// config recovers that sweep as failed, with an error naming the
+// missing scenario; the server keeps serving and runs a new sweep.
+func TestServerRecoveryLegacyBaseSpec(t *testing.T) {
+	dir := t.TempDir()
+	const id = "sw-000007"
+	if err := os.MkdirAll(filepath.Join(dir, id, "ckpt"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	legacy := `{"name":"legacy","base":{"GridNX":48,"GridNY":24,"Mach":4,"ThermalSpeed":0.125,` +
+		`"ParticlesPerCell":3},"replicas":1,"warm_steps":2,"sample_steps":2}`
+	if err := os.WriteFile(filepath.Join(dir, id, "spec.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := newServer(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.close)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	st := waitDone(t, ts, id)
+	if st.State != stateFailed || !strings.Contains(st.Error, "scenario") {
+		t.Fatalf("legacy sweep recovered as %s (error %q), want failed naming the scenario", st.State, st.Error)
+	}
+	newID := submit(t, ts, tinySpec())
+	if newID == id {
+		t.Fatalf("new sweep reused the recovered id %s", id)
+	}
+	if st := waitDone(t, ts, newID); st.State != stateDone {
+		t.Fatalf("new sweep state %s (%s)", st.State, st.Error)
 	}
 }

@@ -313,9 +313,7 @@ func (h *harness) compare() error {
 	ref.Run(steps)
 	refUs := ref.MicrosecondsPerParticleStep()
 
-	cfg.Backend = dsmc.ConnectionMachine
-	cfg.PhysProcs = h.procs
-	cmS, err := dsmc.NewSimulation(cfg)
+	cmS, err := dsmc.NewCMSimulation(cfg, h.procs)
 	if err != nil {
 		return err
 	}
@@ -387,10 +385,14 @@ func (h *harness) sweepSpec(ckptDir string) dsmc.SweepSpec {
 	base := dsmc.PaperConfig()
 	base.ParticlesPerCell = h.perCell
 	base.Seed = h.seed
+	ss, err := dsmc.NewScenarioSpec(base)
+	if err != nil {
+		log.Fatal(err)
+	}
 	lam0, lam05 := 0.0, 0.5
 	return dsmc.SweepSpec{
 		Name:       "rarefaction-sweep",
-		Base:       base,
+		Scenario:   ss,
 		Quantities: []dsmc.Quantity{dsmc.Density, dsmc.Temperature, dsmc.MachNumber},
 		Points: []dsmc.SweepPoint{
 			{Name: "near-continuum", MeanFreePath: &lam0},

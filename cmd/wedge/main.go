@@ -45,12 +45,17 @@ func main() {
 	cfg.Mach = *mach
 	cfg.Wedge.AngleDeg = *angle
 	cfg.Seed = *seed
-	cfg.PhysProcs = *procs
-	if *backend == "cm" {
-		cfg.Backend = dsmc.ConnectionMachine
-	}
 
-	s, err := dsmc.NewSimulation(cfg)
+	var s *dsmc.Simulation
+	var err error
+	switch *backend {
+	case "reference":
+		s, err = dsmc.NewSimulation(cfg)
+	case "cm":
+		s, err = dsmc.NewCMSimulation(cfg, *procs)
+	default:
+		err = fmt.Errorf("unknown backend %q (want reference or cm)", *backend)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func main() {
 	fmt.Printf("running %d steps to steady state...\n", *steps)
 	s.Run(*steps)
 	fmt.Printf("time-averaging over %d steps...\n", *avg)
-	field := s.SampleDensity(*avg)
+	field := s.Sample(*avg).MustField(dsmc.Density)
 
 	th := s.Theory()
 	fmt.Println()

@@ -8,10 +8,10 @@ import (
 )
 
 // testConfig is a small, fast configuration exercising the full pipeline.
-func testConfig() Config {
+func testConfig() WedgeTunnel2D {
 	cfg := PaperConfig()
 	cfg.GridNX, cfg.GridNY = 48, 24
-	cfg.Wedge = &WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
+	cfg.Wedge = WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
 	cfg.ParticlesPerCell = 6
 	cfg.Seed = 3
 	return cfg
@@ -53,10 +53,10 @@ func TestConfigErrors(t *testing.T) {
 
 func TestBothBackendsRun(t *testing.T) {
 	for _, backend := range []Backend{Reference, ConnectionMachine} {
-		cfg := testConfig()
-		cfg.Backend = backend
-		cfg.PhysProcs = 64
-		s, err := NewSimulation(cfg)
+		s, err := NewSimulation(testConfig())
+		if backend == ConnectionMachine {
+			s, err = NewCMSimulation(testConfig(), 64)
+		}
 		if err != nil {
 			t.Fatalf("%v: %v", backend, err)
 		}
@@ -89,9 +89,7 @@ func TestModelPhaseCyclesOnlyOnCM(t *testing.T) {
 	if s.ModelPhaseCycles() != nil {
 		t.Errorf("reference backend has no cycle model")
 	}
-	cfg.Backend = ConnectionMachine
-	cfg.PhysProcs = 64
-	s, _ = NewSimulation(cfg)
+	s, _ = NewCMSimulation(cfg, 64)
 	s.Run(3)
 	cycles := s.ModelPhaseCycles()
 	if cycles["collide"] <= 0 || cycles["sort"] <= 0 {
@@ -101,7 +99,7 @@ func TestModelPhaseCyclesOnlyOnCM(t *testing.T) {
 
 func TestTheoryPaperNumbers(t *testing.T) {
 	cfg := PaperConfig()
-	s, err := NewSimulation(Config{
+	s, err := NewSimulation(WedgeTunnel2D{
 		GridNX: cfg.GridNX, GridNY: cfg.GridNY, Wedge: cfg.Wedge,
 		Mach: 4, ThermalSpeed: 0.125, MeanFreePath: 0.5,
 		ParticlesPerCell: 2, Seed: 1,
@@ -138,7 +136,7 @@ func TestTheoryDetached(t *testing.T) {
 	}
 }
 
-func TestSampleDensityFieldMethods(t *testing.T) {
+func TestDensityFieldMethods(t *testing.T) {
 	cfg := testConfig()
 	cfg.ParticlesPerCell = 10
 	s, err := NewSimulation(cfg)
@@ -146,7 +144,7 @@ func TestSampleDensityFieldMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(40)
-	f := s.SampleDensity(30)
+	f := s.Sample(30).MustField(Density)
 	if f.NX != cfg.GridNX || f.NY != cfg.GridNY {
 		t.Fatalf("field shape %dx%d", f.NX, f.NY)
 	}
@@ -198,7 +196,7 @@ func TestPublicAPIShockValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Run(600)
-	f := s.SampleDensity(300)
+	f := s.Sample(300).MustField(Density)
 	th := s.Theory()
 	if got := f.ShockAngleDeg(); math.Abs(got-th.ShockAngleDeg) > 5 {
 		t.Errorf("measured shock angle %.1f°, theory %.1f°", got, th.ShockAngleDeg)
@@ -226,7 +224,7 @@ func TestPublicWorkersDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Run(15)
-		return s, s.SampleDensity(5)
+		return s, s.Sample(5).MustField(Density)
 	}
 	s1, f1 := run(1)
 	s8, f8 := run(8)
@@ -268,7 +266,7 @@ func TestPrecisionFloat32Backend(t *testing.T) {
 	if f := float64(s32.NFlow()) / float64(s64.NFlow()); f < 0.99 || f > 1.01 {
 		t.Errorf("float32 flow population %d far from float64 %d", s32.NFlow(), s64.NFlow())
 	}
-	f := s32.SampleDensity(5)
+	f := s32.Sample(5).MustField(Density)
 	mean := 0.0
 	for _, v := range f.Data {
 		mean += v

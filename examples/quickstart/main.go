@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	sc := dsmc.PaperWedgeTunnel()
+	sc := dsmc.PaperConfig()
 	sc.ParticlesPerCell = 8 // the paper's 512k-particle run uses 75
 	sc.Seed = 2024
 

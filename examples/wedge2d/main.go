@@ -17,7 +17,7 @@ import (
 )
 
 func runCase(name string, lambda float64) *dsmc.Field {
-	sc := dsmc.PaperWedgeTunnel()
+	sc := dsmc.PaperConfig()
 	sc.MeanFreePath = lambda
 	sc.ParticlesPerCell = 8
 	sc.Seed = 11

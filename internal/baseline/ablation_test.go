@@ -7,7 +7,6 @@ import (
 	"dsmc/internal/collide"
 	"dsmc/internal/molec"
 	"dsmc/internal/rng"
-	"dsmc/internal/stats"
 )
 
 // TestAblationFixedPairingCorrelates demonstrates the failure mode the
@@ -38,7 +37,7 @@ func TestAblationFixedPairingCorrelates(t *testing.T) {
 		xs = append(xs, speed(&frozen[i]))
 		ys = append(ys, speed(&frozen[i+1]))
 	}
-	frozenCorr := stats.PairCorrelation(xs, ys)
+	frozenCorr := pairCorrelation(xs, ys)
 
 	// Reshuffled pairing (the paper's behaviour).
 	r2 := rng.NewStream(5)
@@ -49,7 +48,7 @@ func TestAblationFixedPairingCorrelates(t *testing.T) {
 		xs = append(xs, speed(&mixed[i]))
 		ys = append(ys, speed(&mixed[i+1]))
 	}
-	mixedCorr := stats.PairCorrelation(xs, ys)
+	mixedCorr := pairCorrelation(xs, ys)
 
 	// Frozen pairs share a fixed energy budget, so partner speeds become
 	// anti-correlated (one fast, the other slow) — the correlated velocity
@@ -94,16 +93,16 @@ func TestAblationKSConfirmsMaxwellisation(t *testing.T) {
 	r := rng.NewStream(9)
 	mixed := RectangularEnsemble(n, sigma, &r)
 	Relax(NewBM(), mixed, 1, rule, 30, &r)
-	d := stats.KolmogorovSmirnov(speeds(mixed), stats.MaxwellSpeedCDF(cm))
-	if d > 1.5*stats.KSCritical999(n) {
+	d := kolmogorovSmirnov(speeds(mixed), maxwellSpeedCDF(cm))
+	if d > 1.5*ksCritical999(n) {
 		t.Errorf("relaxed speeds fail the Maxwell KS test: D = %v", d)
 	}
 
 	r2 := rng.NewStream(9)
 	frozen := RectangularEnsemble(n, sigma, &r2)
 	RelaxFixedPairing(NewBM(), frozen, 1, rule, 30, &r2)
-	dFrozen := stats.KolmogorovSmirnov(speeds(frozen), stats.MaxwellSpeedCDF(cm))
-	if dFrozen < 3*stats.KSCritical999(n) {
+	dFrozen := kolmogorovSmirnov(speeds(frozen), maxwellSpeedCDF(cm))
+	if dFrozen < 3*ksCritical999(n) {
 		t.Errorf("frozen pairing should be rejected by the KS test: D = %v", dFrozen)
 	}
 }

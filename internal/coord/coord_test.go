@@ -16,12 +16,16 @@ import (
 func tinySpec() dsmc.SweepSpec {
 	cfg := dsmc.PaperConfig()
 	cfg.GridNX, cfg.GridNY = 48, 24
-	cfg.Wedge = &dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
+	cfg.Wedge = dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
 	cfg.ParticlesPerCell = 3
 	cfg.Seed = 7
+	ss, err := dsmc.NewScenarioSpec(cfg)
+	if err != nil {
+		panic(err)
+	}
 	return dsmc.SweepSpec{
 		Name:            "coord-test",
-		Base:            cfg,
+		Scenario:        ss,
 		Points:          []dsmc.SweepPoint{{Name: "rarefied"}},
 		Replicas:        2,
 		WarmSteps:       2,

@@ -22,7 +22,7 @@ import (
 // declaring its place in the DAG is part of adding it. Fixture packages
 // under testdata declare a layer with //dsmclint:layer <name>.
 var layerAllows = map[string][]string{
-	// leaf: no internal imports (rng, molec, fixed, phys, report, stats, lint).
+	// leaf: no internal imports (rng, molec, fixed, phys, report, lint).
 	"leaf": {},
 	// physics: the collision exchange over molecule constants.
 	"physics": {"dsmc/internal/molec", "dsmc/internal/rng"},
@@ -119,7 +119,6 @@ var layerOf = map[string]string{
 	"dsmc/internal/fixed":    "leaf",
 	"dsmc/internal/phys":     "leaf",
 	"dsmc/internal/report":   "leaf",
-	"dsmc/internal/stats":    "leaf",
 	"dsmc/internal/lint":     "leaf",
 	"dsmc/internal/collide":  "physics",
 	"dsmc/internal/kernel":   "kernel",

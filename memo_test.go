@@ -17,10 +17,10 @@ import (
 
 // memoSweepSpec is the fixture the memoization tests share: two points,
 // two replicas, publishing into a result store under dir.
-func memoSweepSpec(dir string) dsmc.SweepSpec {
+func memoSweepSpec(t *testing.T, dir string) dsmc.SweepSpec {
 	return dsmc.SweepSpec{
-		Name: "memo",
-		Base: smallPublicConfig(),
+		Name:     "memo",
+		Scenario: scenarioSpec(t, smallPublicConfig()),
 		Points: []dsmc.SweepPoint{
 			{Name: "near-continuum", MeanFreePath: f64(0)},
 			{Name: "rarefied", MeanFreePath: f64(0.5)},
@@ -63,7 +63,7 @@ func runMemoSweep(t *testing.T, spec dsmc.SweepSpec) *dsmc.SweepResult {
 // not perturb a cold run relative to the store-less path.
 func TestSweepMemoWarmBitIdentical(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	spec := memoSweepSpec(dir)
+	spec := memoSweepSpec(t, dir)
 	hCold := memoHash(t, runMemoSweep(t, spec))
 
 	noStore := spec
@@ -96,7 +96,7 @@ func TestSweepMemoWarmBitIdentical(t *testing.T) {
 // changes exactly that point's warm aggregate.
 func TestSweepMemoServesStoredArtifacts(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	spec := memoSweepSpec(dir)
+	spec := memoSweepSpec(t, dir)
 	cold := runMemoSweep(t, spec)
 
 	// Rewrite point 0, replica 0's artifact with perturbed collision
@@ -154,7 +154,7 @@ func TestSweepMemoServesStoredArtifacts(t *testing.T) {
 // recomputes them — landing on the exact cold-run bits.
 func TestSweepMemoCorruptionFallsBack(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	spec := memoSweepSpec(dir)
+	spec := memoSweepSpec(t, dir)
 	hCold := memoHash(t, runMemoSweep(t, spec))
 
 	objs, err := filepath.Glob(filepath.Join(dir, "objects", "*"))
@@ -196,7 +196,7 @@ func TestSweepMemoCorruptionFallsBack(t *testing.T) {
 // a warm re-run every replica job reports job-started, then a first
 // job-progress with every step already done, then job-done.
 func TestSweepMemoWarmProgressShape(t *testing.T) {
-	spec := memoSweepSpec(filepath.Join(t.TempDir(), "store"))
+	spec := memoSweepSpec(t, filepath.Join(t.TempDir(), "store"))
 	runMemoSweep(t, spec)
 
 	seen := map[string][]dsmc.SweepEvent{}

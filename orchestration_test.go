@@ -10,32 +10,40 @@ import (
 	"dsmc"
 )
 
-func smallPublicConfig() dsmc.Config {
+func smallPublicConfig() dsmc.WedgeTunnel2D {
 	cfg := dsmc.PaperConfig()
 	cfg.GridNX, cfg.GridNY = 48, 24
-	cfg.Wedge = &dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
+	cfg.Wedge = dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}
 	cfg.ParticlesPerCell = 4
 	cfg.Seed = 7
 	return cfg
 }
 
+// scenarioSpec serialises a scenario for a SweepSpec.
+func scenarioSpec(t *testing.T, sc dsmc.Scenario) *dsmc.ScenarioSpec {
+	t.Helper()
+	ss, err := dsmc.NewScenarioSpec(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
+}
+
 // TestConfigValidate: unknown enum values and out-of-range knobs are
-// rejected with errors instead of silently defaulting.
+// rejected with errors instead of silently defaulting, and the
+// ConnectionMachine backend refuses what it cannot run.
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
 		name    string
-		mutate  func(*dsmc.Config)
+		mutate  func(*dsmc.WedgeTunnel2D)
 		errPart string
 	}{
-		{"unknown-precision", func(c *dsmc.Config) { c.Precision = "float16" }, "precision"},
-		{"unknown-model", func(c *dsmc.Config) { c.Model = "lennard-jones" }, "model"},
-		{"unknown-backend", func(c *dsmc.Config) { c.Backend = dsmc.Backend(42) }, "backend"},
-		{"cm-float32", func(c *dsmc.Config) { c.Backend = dsmc.ConnectionMachine; c.Precision = dsmc.Float32 }, "fixed-point"},
-		{"negative-lambda", func(c *dsmc.Config) { c.MeanFreePath = -1 }, "MeanFreePath"},
-		{"zero-percell", func(c *dsmc.Config) { c.ParticlesPerCell = 0 }, "ParticlesPerCell"},
-		{"negative-workers", func(c *dsmc.Config) { c.Workers = -2 }, "Workers"},
-		{"negative-procs", func(c *dsmc.Config) { c.PhysProcs = -1 }, "PhysProcs"},
-		{"zero-grid", func(c *dsmc.Config) { c.GridNX = 0 }, "grid"},
+		{"unknown-precision", func(c *dsmc.WedgeTunnel2D) { c.Precision = "float16" }, "precision"},
+		{"unknown-model", func(c *dsmc.WedgeTunnel2D) { c.Model = "lennard-jones" }, "model"},
+		{"negative-lambda", func(c *dsmc.WedgeTunnel2D) { c.MeanFreePath = -1 }, "MeanFreePath"},
+		{"zero-percell", func(c *dsmc.WedgeTunnel2D) { c.ParticlesPerCell = 0 }, "ParticlesPerCell"},
+		{"negative-workers", func(c *dsmc.WedgeTunnel2D) { c.Workers = -2 }, "Workers"},
+		{"zero-grid", func(c *dsmc.WedgeTunnel2D) { c.GridNX = 0 }, "grid"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,6 +65,48 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("valid configuration rejected: %v", err)
 	}
+
+	f32 := smallPublicConfig()
+	f32.Precision = dsmc.Float32
+	cmCases := []struct {
+		name      string
+		sc        dsmc.Scenario
+		physProcs int
+		errPart   string
+	}{
+		// The backend has no form for the double wedge: cmsim models one body.
+		{"unknown-backend", dsmc.DoubleWedge2D{GridNX: 96, GridNY: 32,
+			Wedge:  dsmc.WedgeSpec{LeadX: 8, Base: 12, AngleDeg: 20},
+			Wedge2: dsmc.WedgeSpec{LeadX: 48, Base: 12, AngleDeg: 25},
+			Mach:   4, ThermalSpeed: 0.125, MeanFreePath: 0.5, ParticlesPerCell: 2}, 64, dsmc.KindDoubleWedge2D},
+		{"cm-float32", f32, 64, "fixed-point"},
+		{"negative-procs", smallPublicConfig(), -1, "physProcs"},
+		{"cm-shock-tube", dsmc.ShockTube3D{GridNX: 24, GridNY: 4, GridNZ: 4,
+			ThermalSpeed: 0.125, PistonSpeed: 0.131, ParticlesPerCell: 4}, 64, dsmc.KindShockTube3D},
+		{"cm-unknown-precision", dsmc.WedgeTunnel2D{GridNX: 48, GridNY: 24,
+			Wedge: dsmc.WedgeSpec{LeadX: 10, Base: 12, AngleDeg: 30}, Mach: 4, ThermalSpeed: 0.125,
+			ParticlesPerCell: 2, Precision: "float16"}, 64, "precision"},
+	}
+	for _, tc := range cmCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := dsmc.NewCMSimulation(tc.sc, tc.physProcs)
+			if err == nil {
+				t.Fatal("NewCMSimulation accepted the broken configuration")
+			}
+			if !strings.Contains(err.Error(), tc.errPart) {
+				t.Errorf("error %q does not mention %q", err, tc.errPart)
+			}
+		})
+	}
+	for _, sc := range []dsmc.Scenario{smallPublicConfig(), dsmc.EmptyTunnel2D{GridNX: 32, GridNY: 16,
+		Mach: 4, ThermalSpeed: 0.125, ParticlesPerCell: 2}} {
+		s, err := dsmc.NewCMSimulation(sc, 0)
+		if err != nil {
+			t.Errorf("%s rejected by the ConnectionMachine backend: %v", sc.Kind(), err)
+		} else if s.Backend() != dsmc.ConnectionMachine {
+			t.Errorf("%s: Backend() = %v", sc.Kind(), s.Backend())
+		}
+	}
 }
 
 // TestPublicCheckpointRoundTrip: run(60) equals run(30)+Checkpoint+
@@ -73,7 +123,7 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			straight.Run(40)
-			wantField := straight.SampleDensity(20)
+			wantField := straight.Sample(20).MustField(dsmc.Density)
 
 			half, err := dsmc.NewSimulation(cfg)
 			if err != nil {
@@ -92,7 +142,7 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			restored.Run(10)
-			gotField := restored.SampleDensity(20)
+			gotField := restored.Sample(20).MustField(dsmc.Density)
 
 			if got, want := restored.StepCount(), straight.StepCount(); got != want {
 				t.Fatalf("step count %d != %d", got, want)
@@ -116,10 +166,7 @@ func TestPublicCheckpointRoundTrip(t *testing.T) {
 // TestCheckpointCMRejected: the fixed-point backend reports checkpointing
 // as unsupported rather than silently writing nothing.
 func TestCheckpointCMRejected(t *testing.T) {
-	cfg := smallPublicConfig()
-	cfg.Backend = dsmc.ConnectionMachine
-	cfg.PhysProcs = 1024
-	s, err := dsmc.NewSimulation(cfg)
+	s, err := dsmc.NewCMSimulation(smallPublicConfig(), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +180,10 @@ func TestCheckpointCMRejected(t *testing.T) {
 // across pool sizes through the public API, and the result surfaces a
 // usable mean Field.
 func TestRunSweepPublic(t *testing.T) {
+	base := smallPublicConfig()
 	spec := dsmc.SweepSpec{
-		Name: "lambda-sweep",
-		Base: smallPublicConfig(),
+		Name:     "lambda-sweep",
+		Scenario: scenarioSpec(t, base),
 		Points: []dsmc.SweepPoint{
 			{Name: "near-continuum", MeanFreePath: f64(0)},
 			{Name: "rarefied", MeanFreePath: f64(0.5)},
@@ -169,8 +217,8 @@ func TestRunSweepPublic(t *testing.T) {
 		}
 	}
 	f := results[0].Points[1].Field()
-	if f.NX != spec.Base.GridNX || f.NY != spec.Base.GridNY {
-		t.Errorf("mean field shape %dx%d, want %dx%d", f.NX, f.NY, spec.Base.GridNX, spec.Base.GridNY)
+	if f.NX != base.GridNX || f.NY != base.GridNY {
+		t.Errorf("mean field shape %dx%d, want %dx%d", f.NX, f.NY, base.GridNX, base.GridNY)
 	}
 	if fs := f.FreestreamMean(); math.IsNaN(fs) || fs <= 0 {
 		t.Errorf("mean field freestream density %v, want positive", fs)
@@ -194,10 +242,14 @@ func TestRunEnsemblePublic(t *testing.T) {
 
 // TestSweepRejectsBadPoints: point overrides are validated per point.
 func TestSweepRejectsBadPoints(t *testing.T) {
-	base := smallPublicConfig()
-	base.Wedge = nil
+	wedge := smallPublicConfig()
+	empty := dsmc.EmptyTunnel2D{
+		GridNX: wedge.GridNX, GridNY: wedge.GridNY,
+		Mach: wedge.Mach, ThermalSpeed: wedge.ThermalSpeed, MeanFreePath: wedge.MeanFreePath,
+		ParticlesPerCell: wedge.ParticlesPerCell, Model: wedge.Model, Seed: wedge.Seed,
+	}
 	_, err := dsmc.RunSweep(context.Background(), dsmc.SweepSpec{
-		Base:        base,
+		Scenario:    scenarioSpec(t, empty),
 		Points:      []dsmc.SweepPoint{{Name: "angled", WedgeAngleDeg: f64(25)}},
 		Replicas:    1,
 		WarmSteps:   1,
@@ -207,7 +259,7 @@ func TestSweepRejectsBadPoints(t *testing.T) {
 		t.Error("wedge-angle override without a wedge was accepted")
 	}
 	_, err = dsmc.RunSweep(context.Background(), dsmc.SweepSpec{
-		Base:        smallPublicConfig(),
+		Scenario:    scenarioSpec(t, wedge),
 		Points:      []dsmc.SweepPoint{{Name: "subsonic", Mach: f64(0.5)}},
 		Replicas:    1,
 		WarmSteps:   1,
@@ -227,7 +279,7 @@ func iptr(v int) *int        { return &v }
 func TestSweepGridShapeOverride(t *testing.T) {
 	spec := dsmc.SweepSpec{
 		Name:       "grid-sweep",
-		Base:       smallPublicConfig(),
+		Scenario:   scenarioSpec(t, smallPublicConfig()),
 		Quantities: []dsmc.Quantity{dsmc.Density, dsmc.Temperature},
 		Points: []dsmc.SweepPoint{
 			{Name: "base-grid"},

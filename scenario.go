@@ -18,9 +18,9 @@ import (
 // Scenario describes a complete simulation setup — geometry, freestream
 // state, grid shape, and execution knobs — that NewSimulation can
 // construct. The concrete scenarios are WedgeTunnel2D (the paper's wind
-// tunnel), EmptyTunnel2D, DoubleWedge2D, and ShockTube3D; the legacy
-// Config is a compatibility shim over the 2D tunnel scenarios, so every
-// existing NewSimulation(cfg) call keeps working.
+// tunnel), EmptyTunnel2D, DoubleWedge2D, and ShockTube3D; they are the
+// only way to describe a simulation, and the same values serialise into
+// sweep specs through ScenarioSpec.
 //
 // The scenario set is closed to this package (the lowering method is
 // unexported); new geometries are added here, over the internal boundary
@@ -53,14 +53,11 @@ const (
 
 // plan is a lowered scenario: everything NewSimulation, the sampling
 // layer, and the sweep lowering need to build and analyse a simulation.
-// Exactly one of sim/sim3 is set for Reference-backend plans; sim plus
-// physProcs for the ConnectionMachine backend.
+// Exactly one of sim/sim3 is set.
 type plan struct {
 	kind       string
 	nx, ny, nz int // field shape (nz = 1 for 2D)
-	backend    Backend
 	precision  Precision
-	physProcs  int
 
 	sim  *sim.Config
 	sim3 *sim3.Config
@@ -194,10 +191,9 @@ func lower2D(kind string, nx, ny int, wedge, wedge2 *WedgeSpec, mach, thermalSpe
 	}, nil
 }
 
-// WedgeTunnel2D is the paper's scenario as a first-class value: the
-// Mach-M wind tunnel with a single wedge on the lower wall. Unlike the
-// legacy Config, the wedge is required (use EmptyTunnel2D for no body)
-// and the backend is always the Reference engine.
+// WedgeTunnel2D is the paper's scenario (PaperConfig returns it at the
+// paper's parameters): the Mach-M wind tunnel with a single wedge on the
+// lower wall. The wedge is required; use EmptyTunnel2D for no body.
 type WedgeTunnel2D struct {
 	// GridNX, GridNY are the cell-grid dimensions (the paper: 98×64).
 	GridNX, GridNY int
@@ -222,20 +218,6 @@ type WedgeTunnel2D struct {
 	Workers int
 	// Seed seeds all randomness.
 	Seed uint64
-}
-
-// PaperWedgeTunnel returns the paper's configuration as a first-class
-// scenario — the scenario equivalent of PaperConfig.
-func PaperWedgeTunnel() WedgeTunnel2D {
-	return WedgeTunnel2D{
-		GridNX: 98, GridNY: 64,
-		Wedge:            WedgeSpec{LeadX: 20, Base: 25, AngleDeg: 30},
-		Mach:             4,
-		ThermalSpeed:     0.125,
-		MeanFreePath:     0.5,
-		ParticlesPerCell: 75,
-		Seed:             1988,
-	}
 }
 
 // Kind returns KindWedgeTunnel2D.
@@ -440,20 +422,9 @@ type ScenarioSpec struct {
 	Params json.RawMessage `json:"params,omitempty"`
 }
 
-// NewScenarioSpec serialises a scenario. The legacy Config serialises as
-// its first-class equivalent (wedge or empty tunnel), so a spec never
-// carries the shim type; ConnectionMachine configs cannot round-trip
-// through a spec and are rejected.
+// NewScenarioSpec serialises a scenario.
 func NewScenarioSpec(sc Scenario) (*ScenarioSpec, error) {
 	switch v := sc.(type) {
-	case Config:
-		fc, err := v.firstClass()
-		if err != nil {
-			return nil, err
-		}
-		return NewScenarioSpec(fc)
-	case *Config:
-		return NewScenarioSpec(*v)
 	case WedgeTunnel2D, EmptyTunnel2D, DoubleWedge2D, ShockTube3D:
 		raw, err := json.Marshal(v)
 		if err != nil {
