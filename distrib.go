@@ -2,10 +2,10 @@ package dsmc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"dsmc/internal/run"
-	"dsmc/internal/store"
 )
 
 // This file is the distributed-execution surface of a sweep: a sweep's
@@ -122,34 +122,34 @@ type SweepJobIO struct {
 }
 
 // RunSweepJob executes exactly one replica job of a sweep — the unit a
-// distributed worker pulls. The job's seed derivation, stepping loop and
-// checkpoint codec are the same code RunSweep runs in-process, so the
-// returned output is bit-identical to the contribution the same
-// (point, replica) makes inside RunSweep, wherever and however often the
-// job is attempted.
+// distributed worker pulls. It runs the same replica job RunSweep runs
+// in process (same seed derivation, stepping loop and checkpoint
+// codec), so the returned output is bit-identical to the contribution
+// the same (point, replica) makes inside RunSweep, wherever and however
+// often the job is attempted. A single job is never memoized: the
+// scheduler that dispatches it owns the result store, so the spec's
+// ResultStoreDir must be empty.
 func RunSweepJob(ctx context.Context, spec SweepSpec, point, replica int, io SweepJobIO) (*ReplicaOutput, error) {
-	sp, _, err := lowerSpec(spec)
+	if spec.ResultStoreDir != "" {
+		return nil, errors.New("dsmc: RunSweepJob does not memoize; ResultStoreDir must be empty (the scheduler that dispatches jobs owns the result store)")
+	}
+	sp, plans, err := lowerSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	every := io.CheckpointEvery
-	if every <= 0 {
-		every = spec.CheckpointEvery
+	if err := sp.Validate(); err != nil {
+		return nil, err
 	}
-	jio := run.JobIO{Ckpt: io.Checkpoint, Every: every, Progress: io.Progress}
-	if spec.ResultStoreDir != "" {
-		st, err := store.Open(spec.ResultStoreDir)
-		if err != nil {
-			return nil, fmt.Errorf("dsmc: opening result store: %w", err)
-		}
-		jio.Results = st
+	if point < 0 || point >= len(sp.Points) {
+		return nil, fmt.Errorf("dsmc: point index %d out of range (%d points)", point, len(sp.Points))
 	}
-	if trace := io.OnStepTrace; trace != nil {
-		jio.StepTrace = func(step int, phaseNs [4]int64, particles int) {
-			trace(StepTrace{Step: step, PhaseNs: phaseNs, Particles: particles})
-		}
+	if replica < 0 || replica >= sp.Replicas {
+		return nil, fmt.Errorf("dsmc: replica %d out of range (%d replicas)", replica, sp.Replicas)
 	}
-	res, err := run.RunJob(ctx, sp, point, replica, jio)
+	if io.CheckpointEvery <= 0 {
+		io.CheckpointEvery = spec.CheckpointEvery
+	}
+	res, err := runReplica(ctx, &sp, plans[point], point, replica, io)
 	if err != nil {
 		return nil, err
 	}
@@ -170,11 +170,11 @@ func AssembleSweepResult(spec SweepSpec, outputs [][]*ReplicaOutput) (*SweepResu
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	if len(outputs) != len(sp.Scenarios) {
-		return nil, fmt.Errorf("dsmc: %d output groups for %d points", len(outputs), len(sp.Scenarios))
+	if len(outputs) != len(sp.Points) {
+		return nil, fmt.Errorf("dsmc: %d output groups for %d points", len(outputs), len(sp.Points))
 	}
-	aggs := make([]*run.Aggregate, len(sp.Scenarios))
-	for si := range sp.Scenarios {
+	aggs := make([]*run.Aggregate, len(sp.Points))
+	for si := range sp.Points {
 		if len(outputs[si]) != sp.Replicas {
 			return nil, fmt.Errorf("dsmc: point %d has %d outputs for %d replicas", si, len(outputs[si]), sp.Replicas)
 		}
@@ -185,7 +185,7 @@ func AssembleSweepResult(spec SweepSpec, outputs [][]*ReplicaOutput) (*SweepResu
 			}
 			rs[r] = (*run.ReplicaResult)(o)
 		}
-		aggs[si] = sp.AggregateScenario(si, rs)
+		aggs[si] = sp.AggregatePoint(si, rs)
 	}
 	return assembleResult(spec.Name, plans, aggs), nil
 }

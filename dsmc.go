@@ -39,6 +39,7 @@ import (
 	"math"
 	"time"
 
+	"dsmc/internal/ckpt"
 	"dsmc/internal/cmsim"
 	"dsmc/internal/phys"
 	"dsmc/internal/sample"
@@ -138,15 +139,20 @@ type backend interface {
 
 // engineBackend is the extra surface of the engine-based Reference
 // backends beyond backend: cell-sharded moment sampling, the phase
-// timing breakdown, and binary checkpoint/restore. All four engine
-// instantiations implement it — both precisions of the 2D wind tunnel
-// (sim.SimOf) and of the 3D shock tube (sim3.SimOf).
+// timing breakdown and per-step observer, and binary checkpoint/restore
+// both as a whole stream and as sections inside a sweep job's
+// checkpoint. It is the one interface over the four engine
+// instantiations — both precisions of the 2D wind tunnel (sim.SimOf)
+// and of the 3D shock tube (sim3.SimOf).
 type engineBackend interface {
 	backend
 	SampleInto(acc *sample.Accumulator)
 	PhaseTimes() map[string]time.Duration
+	SetStepObserver(fn func(step int, phaseNs [4]int64, particles int))
 	WriteCheckpoint(w io.Writer) error
 	ReadCheckpoint(r io.Reader) error
+	CheckpointSections(w *ckpt.Writer)
+	RestoreSections(r *ckpt.Reader) error
 }
 
 // Simulation is a running simulation of any scenario — the 2D wind
@@ -168,41 +174,37 @@ func NewSimulation(sc Scenario) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulation{scen: sc, p: p}
+	s, err := newSimulation(p)
+	if err != nil {
+		return nil, err
+	}
+	s.scen = sc
+	return s, nil
+}
+
+// newSimulation builds the Reference engine of a lowered plan at the
+// plan's seed and precision. It is the one place the four engine
+// instantiations are constructed: NewSimulation and every sweep replica
+// job build through it.
+func newSimulation(p *plan) (*Simulation, error) {
+	var ref engineBackend
+	var err error
 	switch {
+	case p.sim != nil && p.precision == Float32:
+		ref, err = sim.NewOf[float32](*p.sim)
 	case p.sim != nil:
-		if p.precision == Float32 {
-			rs, err := sim.NewOf[float32](*p.sim)
-			if err != nil {
-				return nil, err
-			}
-			s.ref = rs
-		} else {
-			rs, err := sim.New(*p.sim)
-			if err != nil {
-				return nil, err
-			}
-			s.ref = rs
-		}
+		ref, err = sim.NewOf[float64](*p.sim)
+	case p.sim3 != nil && p.precision == Float32:
+		ref, err = sim3.NewOf[float32](*p.sim3)
 	case p.sim3 != nil:
-		if p.precision == Float32 {
-			rs, err := sim3.NewOf[float32](*p.sim3)
-			if err != nil {
-				return nil, err
-			}
-			s.ref = rs
-		} else {
-			rs, err := sim3.New(*p.sim3)
-			if err != nil {
-				return nil, err
-			}
-			s.ref = rs
-		}
+		ref, err = sim3.NewOf[float64](*p.sim3)
 	default:
 		return nil, fmt.Errorf("dsmc: scenario %q lowered to no backend", p.kind)
 	}
-	s.b = s.ref
-	return s, nil
+	if err != nil {
+		return nil, err
+	}
+	return &Simulation{p: p, ref: ref, b: ref}, nil
 }
 
 // NewCMSimulation builds a 2D wind tunnel — WedgeTunnel2D or
@@ -341,10 +343,7 @@ type Theory struct {
 func (s *Simulation) Theory() Theory {
 	gamma := s.p.gamma
 	if s.p.sim3 != nil {
-		// Piston-driven normal shock: Ms − 1/Ms = up(γ+1)/(2a1).
-		a1 := s.p.cm * math.Sqrt(gamma/2)
-		k := s.p.pistonSpeed * (gamma + 1) / (2 * a1)
-		ms := (k + math.Sqrt(k*k+4)) / 2
+		ms, a1 := s.p.sim3.PistonShock()
 		return Theory{
 			ShockSpeed:       ms * a1,
 			DensityRatio:     phys.RHDensityRatio(ms, gamma),

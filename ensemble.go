@@ -73,8 +73,9 @@ type SweepSpec struct {
 	// artifacts keyed by (spec fingerprint, master seed, point index,
 	// replica), and a later sweep deriving the same keys — a re-run, or
 	// a sweep sharing points at the same indices — reuses the verified
-	// artifacts instead of recomputing, bit-identically. The dsmcd
-	// server manages its own store; specs submitted to it must leave
+	// artifacts instead of recomputing, bit-identically. Only RunSweep
+	// memoizes: RunSweepJob rejects a spec that sets it, and the dsmcd
+	// server manages its own store, so specs submitted to it must leave
 	// this empty.
 	ResultStoreDir string `json:"result_store_dir,omitempty"`
 }
@@ -282,9 +283,9 @@ func applyI(dst *int, v *int) {
 	}
 }
 
-// lowerSpec translates the public spec to the orchestration layer's:
-// every point's scenario is resolved, lowered, and handed to
-// internal/run with its own grid shape.
+// lowerSpec translates the public spec to the scheduler's: every
+// point's scenario is resolved and lowered to its plan, and internal/run
+// receives the point's name and trajectory fingerprint.
 func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 	base, err := spec.BaseScenario()
 	if err != nil {
@@ -325,15 +326,14 @@ func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 		baseSeed = basePlan.sim3.Seed
 	}
 	sp := run.Spec{
-		Name:            spec.Name,
-		Quantities:      qslugs,
-		Replicas:        spec.Replicas,
-		WarmSteps:       spec.WarmSteps,
-		SampleSteps:     spec.SampleSteps,
-		BaseSeed:        baseSeed,
-		Pool:            spec.Pool,
-		CheckpointDir:   spec.CheckpointDir,
-		CheckpointEvery: spec.CheckpointEvery,
+		Name:          spec.Name,
+		Quantities:    qslugs,
+		Replicas:      spec.Replicas,
+		WarmSteps:     spec.WarmSteps,
+		SampleSteps:   spec.SampleSteps,
+		BaseSeed:      baseSeed,
+		Pool:          spec.Pool,
+		CheckpointDir: spec.CheckpointDir,
 	}
 	plans := make([]*plan, len(points))
 	for i, p := range points {
@@ -358,12 +358,7 @@ func lowerSpec(spec SweepSpec) (run.Spec, []*plan, error) {
 			pl.sim3.Workers = 1
 		}
 		plans[i] = pl
-		sp.Scenarios = append(sp.Scenarios, run.Scenario{
-			Name:    name,
-			Sim:     pl.sim,
-			Sim3:    pl.sim3,
-			Float32: pl.precision == Float32,
-		})
+		sp.Points = append(sp.Points, run.Point{Name: name, Fp: pl.fingerprint(spec.WarmSteps, spec.SampleSteps)})
 	}
 	return sp, plans, nil
 }
@@ -398,15 +393,18 @@ func RunSweep(ctx context.Context, spec SweepSpec, onEvent func(SweepEvent)) (*S
 			})
 		}
 	}
-	res, err := run.Run(ctx, sp, observer)
+	job := func(ctx context.Context, j run.Job, ck run.CkptStore, progress func(done, total int)) (*run.ReplicaResult, error) {
+		return runReplica(ctx, &sp, plans[j.Point], j.Point, j.Replica,
+			SweepJobIO{Checkpoint: ck, CheckpointEvery: spec.CheckpointEvery, Progress: progress})
+	}
+	res, err := run.Run(ctx, sp, job, observer)
 	if err != nil {
 		return nil, err
 	}
 	return assembleResult(spec.Name, plans, res.Aggregates), nil
 }
 
-// assembleResult converts the orchestration layer's per-scenario
-// aggregates into the public sweep result, attaching each point's
+// assembleResult converts the scheduler's per-point aggregates into the public sweep result, attaching each point's
 // resolved plan (kind, field shape, analysis context). Both the
 // in-process RunSweep and the distributed AssembleSweepResult end here,
 // so the two execution paths can never drift in shape or convention.

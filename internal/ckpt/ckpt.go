@@ -18,9 +18,9 @@
 // Layering: this package owns the encoding and the codecs for the shared
 // containers (store, reservoir, stream, accumulator, engine counters);
 // each backend composes them with its own domain scalars — see
-// sim.WriteCheckpoint and sim3.WriteCheckpoint — and internal/run adds
-// job-progress sections around a backend checkpoint to make whole
-// ensemble jobs resumable.
+// sim.WriteCheckpoint and sim3.WriteCheckpoint — and the public dsmc
+// package's sweep replica job adds job-progress sections around a
+// backend checkpoint to make whole ensemble jobs resumable.
 package ckpt
 
 import (
@@ -58,8 +58,9 @@ const (
 	Kind2D Kind = 1
 	// Kind3D is the shock-tube (internal/sim3) state.
 	Kind3D Kind = 2
-	// KindJob is an orchestration job: progress counters and a sample
-	// accumulator wrapped around a backend checkpoint (internal/run).
+	// KindJob is a sweep replica job: progress counters and a sample
+	// accumulator wrapped around a backend checkpoint (the dsmc
+	// package's job.go).
 	KindJob Kind = 3
 )
 
@@ -281,8 +282,15 @@ func (r *Reader) I64() int64 { return int64(r.word()) }
 // F64 reads one float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.word()) }
 
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.word() != 0 }
+// Bool reads a boolean. A word other than 0 or 1 is a shape error, so
+// every accepted stream re-encodes to the same bytes.
+func (r *Reader) Bool() bool {
+	v := r.word()
+	if r.err == nil && v > 1 {
+		r.err = fmt.Errorf("%w: boolean word %d", ErrShape, v)
+	}
+	return v == 1
+}
 
 // lenInto validates a length prefix against a destination capacity.
 func (r *Reader) lenInto(what string, capacity int) int {
@@ -331,8 +339,9 @@ func ReadFloats[F kernel.Float](r *Reader, dst []F) int {
 }
 
 // Close consumes the checksum trailer and verifies it against the bytes
-// read. A checkpoint truncated or corrupted anywhere fails here (or
-// earlier, on a structural error).
+// read, and that the stream ends there. A checkpoint truncated,
+// extended or corrupted anywhere fails here (or earlier, on a
+// structural error).
 func (r *Reader) Close() error {
 	want := r.sum.Sum64() // trailer excluded from the checksum, mirror the writer
 	got := r.word()
@@ -341,6 +350,9 @@ func (r *Reader) Close() error {
 	}
 	if got != want {
 		return fmt.Errorf("ckpt: checksum mismatch: stored %#016x, computed %#016x", got, want)
+	}
+	if _, err := r.r.ReadByte(); err != io.EOF {
+		return errors.New("ckpt: bytes after the checksum trailer")
 	}
 	return nil
 }
@@ -361,6 +373,20 @@ func CheckShape(r *Reader, kind Kind, prec Prec, cells int) error {
 		return fmt.Errorf("%w: %d cells, simulation has %d", ErrShape, r.Cells(), cells)
 	}
 	return nil
+}
+
+// count reads a count word and bounds it to [0, capacity] before the
+// caller slices or allocates with it; a word outside the bound (a
+// negative int after conversion included) is a shape error.
+func count(r *Reader, what string, capacity int) (int, error) {
+	n := int(r.U64())
+	if r.Err() != nil {
+		return 0, r.Err()
+	}
+	if n < 0 || n > capacity {
+		return 0, fmt.Errorf("%w: %d %s, capacity %d", ErrShape, n, what, capacity)
+	}
+	return n, nil
 }
 
 // WriteStore writes the live particle columns: count, every float column
@@ -387,29 +413,28 @@ func WriteStore[F kernel.Float](w *Writer, st *particle.Store[F]) {
 // have the same dimensionality and sufficient capacity (both hold for a
 // store built from the checkpointed configuration).
 func ReadStore[F kernel.Float](r *Reader, st *particle.Store[F]) error {
-	n := int(r.U64())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if n > st.Cap() {
-		return fmt.Errorf("%w: %d particles, store capacity %d", ErrShape, n, st.Cap())
+	n, err := count(r, "particles", st.Cap())
+	if err != nil {
+		return err
 	}
 	threeD := r.Bool()
-	if threeD != (st.Z != nil) {
+	if r.Err() == nil && threeD != (st.Z != nil) {
 		return fmt.Errorf("%w: dimensionality differs (checkpoint 3D=%v)", ErrShape, threeD)
 	}
-	ReadFloats(r, st.X[:n])
-	ReadFloats(r, st.Y[:n])
-	if threeD {
-		ReadFloats(r, st.Z[:n])
+	// Every column must hold exactly n values: a shorter one would leave
+	// stale particles behind the restored ones.
+	cols := [][]F{st.X, st.Y, st.Z, st.U, st.V, st.W, st.R1, st.R2, st.Evib}
+	for _, col := range cols {
+		if col == nil {
+			continue // Z of a 2D store
+		}
+		if got := ReadFloats(r, col[:n]); r.Err() == nil && got != n {
+			return fmt.Errorf("%w: column of %d values for %d particles", ErrShape, got, n)
+		}
 	}
-	ReadFloats(r, st.U[:n])
-	ReadFloats(r, st.V[:n])
-	ReadFloats(r, st.W[:n])
-	ReadFloats(r, st.R1[:n])
-	ReadFloats(r, st.R2[:n])
-	ReadFloats(r, st.Evib[:n])
-	r.I32s(st.Cell[:n])
+	if got := r.I32s(st.Cell[:n]); r.Err() == nil && got != n {
+		return fmt.Errorf("%w: cell column of %d values for %d particles", ErrShape, got, n)
+	}
 	if r.Err() != nil {
 		return r.Err()
 	}
@@ -450,13 +475,9 @@ func WriteReservoir(w *Writer, rv *particle.Reservoir) {
 
 // ReadReservoir restores a reservoir written by WriteReservoir.
 func ReadReservoir(r *Reader, rv *particle.Reservoir) error {
-	n := int(r.U64())
-	if r.Err() != nil {
-		return r.Err()
-	}
-	const maxReservoir = 1 << 30 // structural sanity bound before allocating
-	if n < 0 || n > maxReservoir {
-		return fmt.Errorf("ckpt: implausible reservoir size %d", n)
+	n, err := count(r, "reservoir particles", rv.Cap())
+	if err != nil {
+		return err
 	}
 	vels := make([]collide.State5, n)
 	for i := range vels {
@@ -497,9 +518,12 @@ func WriteAccumulator(w *Writer, a *sample.Accumulator) {
 // ReadAccumulator restores an accumulator written by WriteAccumulator.
 // The accumulator must cover the same grid (equal column lengths).
 func ReadAccumulator(r *Reader, a *sample.Accumulator) error {
-	count, momX, momY, momZ, enrg := a.Raw()
-	steps := int(r.U64())
-	for _, col := range [][]float64{count, momX, momY, momZ, enrg} {
+	steps, err := count(r, "accumulated steps", math.MaxInt)
+	if err != nil {
+		return err
+	}
+	cnt, momX, momY, momZ, enrg := a.Raw()
+	for _, col := range [][]float64{cnt, momX, momY, momZ, enrg} {
 		if n := r.F64s(col); r.Err() == nil && n != len(col) {
 			return fmt.Errorf("%w: accumulator column length %d, grid wants %d", ErrShape, n, len(col))
 		}

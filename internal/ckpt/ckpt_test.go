@@ -2,6 +2,10 @@ package ckpt_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,6 +14,7 @@ import (
 	"dsmc/internal/golden"
 	"dsmc/internal/grid"
 	"dsmc/internal/kernel"
+	"dsmc/internal/particle"
 	"dsmc/internal/sample"
 	"dsmc/internal/sim"
 	"dsmc/internal/sim3"
@@ -289,5 +294,78 @@ func TestAccumulatorRoundTrip(t *testing.T) {
 		if d1[c] != d2[c] {
 			t.Fatalf("density[%d] %v != %v after round trip", c, d2[c], d1[c])
 		}
+	}
+}
+
+// reseal rewrites a checkpoint's FNV trailer over its (edited) payload.
+func reseal(raw []byte) {
+	h := fnv.New64a()
+	h.Write(raw[:len(raw)-ckpt.TrailerSize])
+	binary.LittleEndian.PutUint64(raw[len(raw)-ckpt.TrailerSize:], h.Sum64())
+}
+
+// TestStoreCountBounded: a particle count word of 2^64−1 (−1 as an int)
+// behind a valid checksum is a shape error, not a slice panic. The word
+// follows the header (five words) and the engine's step and collision
+// counters.
+func TestStoreCountBounded(t *testing.T) {
+	cfg := config2D()
+	raw := checkpoint2D(t, cfg, 5)
+	s, err := sim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []uint64{math.MaxUint64, 1 << 40} {
+		cp := append([]byte(nil), raw...)
+		binary.LittleEndian.PutUint64(cp[56:64], n)
+		reseal(cp)
+		if err := s.ReadCheckpoint(bytes.NewReader(cp)); !errors.Is(err, ckpt.ErrShape) {
+			t.Errorf("count %#x: got %v, want ErrShape", n, err)
+		}
+	}
+}
+
+// sections returns a reader over a stream holding the given words.
+func sections(t *testing.T, words ...uint64) *ckpt.Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	w := ckpt.NewWriter(&buf, ckpt.KindJob, ckpt.PrecF64, 1)
+	for _, v := range words {
+		w.U64(v)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := ckpt.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestReservoirCountBounded: a reservoir count beyond the reservoir's
+// capacity is refused before the snapshot is allocated.
+func TestReservoirCountBounded(t *testing.T) {
+	for _, n := range []uint64{math.MaxUint64, 9, 1 << 16} {
+		rv := particle.NewReservoir(8, 1)
+		if err := ckpt.ReadReservoir(sections(t, n), rv); !errors.Is(err, ckpt.ErrShape) {
+			t.Errorf("count %#x: got %v, want ErrShape", n, err)
+		}
+	}
+}
+
+// TestAccumulatorStepsBounded: a negative accumulated step count is a
+// shape error and leaves the accumulator untouched.
+func TestAccumulatorStepsBounded(t *testing.T) {
+	acc := sample.NewAccumulatorCells(1, nil, 1)
+	words := []uint64{math.MaxUint64}
+	for c := 0; c < 5; c++ {
+		words = append(words, 1, 0) // one-cell moment column of zero
+	}
+	if err := ckpt.ReadAccumulator(sections(t, words...), acc); !errors.Is(err, ckpt.ErrShape) {
+		t.Errorf("got %v, want ErrShape", err)
+	}
+	if acc.Steps != 0 {
+		t.Errorf("accumulator steps became %d", acc.Steps)
 	}
 }

@@ -15,6 +15,8 @@ import (
 //     engine, stores, or orchestration above them;
 //   - engine never imports sim/sim3/run/ckpt — the pipeline cannot know
 //     its adapters, or the unification collapses;
+//   - run imports no backend — the scheduler runs jobs its caller
+//     supplies, so there is one replica path, the public Simulation;
 //   - examples import no internal package at all — they are the public
 //     API contract surface (this replaces the old CI grep).
 //
@@ -83,13 +85,13 @@ var layerAllows = map[string][]string{
 	},
 	// golden: FNV bit-identity pinning over both backends.
 	"golden": {"dsmc/internal/kernel", "dsmc/internal/obs", "dsmc/internal/sim", "dsmc/internal/sim3"},
-	// run: the sweep job core, aggregation, checkpoint/memoization
-	// orchestration.
-	"run": {
-		"dsmc/internal/ckpt", "dsmc/internal/grid", "dsmc/internal/kernel",
-		"dsmc/internal/molec", "dsmc/internal/rng", "dsmc/internal/sample",
-		"dsmc/internal/sim", "dsmc/internal/sim3", "dsmc/internal/store",
-	},
+	// run: the backend-free sweep scheduler — the job core, fan-in
+	// aggregation, result-store memoization and checkpoint files. It
+	// runs the job function its caller supplies and sees a point only by
+	// name and trajectory fingerprint, so it imports no backend: rng
+	// derives job seeds, sample names the quantities, store holds the
+	// artifacts.
+	"run": {"dsmc/internal/rng", "dsmc/internal/sample", "dsmc/internal/store"},
 	// coord: the wire shell of distributed sweeps — HTTP protocol,
 	// pull-worker and fleet table — over run's job core, the state
 	// machine in-process sweeps run on too. It sits ABOVE the public
@@ -98,13 +100,15 @@ var layerAllows = map[string][]string{
 	// information an API client has. Beyond the core it reaches only the
 	// obs telemetry leaf and the result store the core memoizes against.
 	"coord": {"dsmc/internal/obs", "dsmc/internal/run", "dsmc/internal/store"},
-	// root: the public dsmc package — composes backends and run, but
-	// never reaches under engine's hood directly.
+	// root: the public dsmc package — composes backends and run, and
+	// owns the sweep's replica job (built on its Simulation, with the
+	// job checkpoint frame from ckpt), but never reaches under engine's
+	// hood directly.
 	"root": {
-		"dsmc/internal/cmsim", "dsmc/internal/geom", "dsmc/internal/grid",
-		"dsmc/internal/molec", "dsmc/internal/phys", "dsmc/internal/run",
-		"dsmc/internal/sample", "dsmc/internal/sim", "dsmc/internal/sim3",
-		"dsmc/internal/store",
+		"dsmc/internal/ckpt", "dsmc/internal/cmsim", "dsmc/internal/geom",
+		"dsmc/internal/grid", "dsmc/internal/molec", "dsmc/internal/phys",
+		"dsmc/internal/run", "dsmc/internal/sample", "dsmc/internal/sim",
+		"dsmc/internal/sim3", "dsmc/internal/store",
 	},
 	// cmd: developer/server binaries may reach anything.
 	"cmd": {"*"},

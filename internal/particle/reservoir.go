@@ -60,6 +60,9 @@ func (rv *Reservoir) Withdraw() (collide.State5, bool) {
 	return v, true
 }
 
+// Cap returns the most particles the reservoir can bank.
+func (rv *Reservoir) Cap() int { return cap(rv.vels) }
+
 // Snapshot returns the banked thermal-frame velocities for a checkpoint.
 // The returned slice aliases the reservoir's storage: treat it as
 // read-only and do not hold it across Deposit/Withdraw/Relax.

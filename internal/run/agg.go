@@ -2,6 +2,17 @@ package run
 
 import "math"
 
+// ReplicaResult is one finished replica's contribution to the
+// aggregation: the requested time-averaged quantity fields, the fitted
+// shock angle (NaN for scenarios without a wedge), and the integer
+// diagnostics.
+type ReplicaResult struct {
+	Fields        map[string][]float64
+	ShockAngleDeg float64
+	Collisions    int64
+	NFlow         int
+}
+
 // ScalarStats is a Welford mean/variance pair with its normal-theory
 // 95% confidence half-width. N is the number of finite samples merged
 // (replicas whose measurement was NaN — e.g. no shock front found — are
@@ -21,7 +32,7 @@ type FieldStats struct {
 	CI95     []float64 `json:"ci95"`
 }
 
-// Aggregate is the fan-in result of one scenario's replicas: per-cell
+// Aggregate is the fan-in result of one point's replicas: per-cell
 // statistics for every requested quantity, keyed by quantity slug.
 type Aggregate struct {
 	Scenario      string                `json:"scenario"`
@@ -71,7 +82,7 @@ func (w *welford) scalar(dropped int) ScalarStats {
 	return ScalarStats{Mean: w.mean, Variance: w.variance(), CI95: w.ci95(), N: w.n, Dropped: dropped}
 }
 
-// aggregate fans in one scenario's replica results, merging in replica-
+// aggregate fans in one point's replica results, merging in replica-
 // index order (per quantity, so every field's statistics are bit-
 // identical for any pool size). results must be fully populated (the
 // core fans a point in only once every replica is done).

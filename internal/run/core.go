@@ -38,11 +38,11 @@ type Job struct {
 // the order the core dispatches them in.
 func (sp *Spec) Jobs() []Job {
 	total := sp.WarmSteps + sp.SampleSteps
-	jobs := make([]Job, 0, len(sp.Scenarios)*sp.Replicas)
-	for si, sc := range sp.Scenarios {
+	jobs := make([]Job, 0, len(sp.Points)*sp.Replicas)
+	for pi, pt := range sp.Points {
 		for r := 0; r < sp.Replicas; r++ {
-			jobs = append(jobs, Job{ID: JobName(sc.Name, r), Point: si, Replica: r,
-				StepsTotal: total, StoreKey: sp.OutputKey(si, r).ID(), Scenario: sc.Name})
+			jobs = append(jobs, Job{ID: JobName(pt.Name, r), Point: pi, Replica: r,
+				StepsTotal: total, StoreKey: sp.OutputKey(pi, r).ID(), Scenario: pt.Name})
 		}
 	}
 	return jobs

@@ -14,9 +14,9 @@ import (
 // determinism contract, the aggregate artifact codec, and the
 // load/publish hooks run around every replica job and point fan-in.
 //
-// A replica's bits are a pure function of (spec fingerprint, master
-// seed, point index, replica index) — specFingerprint pins the
-// trajectory, jobSeed derives the job's seed from (BaseSeed, point,
+// A replica's bits are a pure function of (trajectory fingerprint,
+// master seed, point index, replica index) — Point.Fp pins the
+// trajectory, JobSeed derives the job's seed from (BaseSeed, point,
 // replica) injectively — so that tuple, extended with the requested
 // quantity list (derived fields depend on what was sampled), is the
 // store key. Two sweeps that share a point at the same index therefore
@@ -26,14 +26,14 @@ import (
 // storeFingerprint extends the trajectory fingerprint with the resolved
 // quantity list: the part of an artifact's identity that the checkpoint
 // fingerprint deliberately ignores.
-func (sp *Spec) storeFingerprint(scenarioIdx int) uint64 {
+func (sp *Spec) storeFingerprint(point int) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	word := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	word(specFingerprint(sp.Scenarios[scenarioIdx], sp.WarmSteps, sp.SampleSteps))
+	word(sp.Points[point].Fp)
 	for _, q := range sp.quantities() {
 		word(uint64(len(q)))
 		h.Write([]byte(q))
@@ -42,17 +42,17 @@ func (sp *Spec) storeFingerprint(scenarioIdx int) uint64 {
 }
 
 // OutputKey is the store key of one replica's output artifact.
-func (sp *Spec) OutputKey(scenarioIdx, replica int) store.Key {
-	return store.Key{Kind: "out", Fp: sp.storeFingerprint(scenarioIdx), Seed: sp.BaseSeed,
-		Point: scenarioIdx, Replica: replica}
+func (sp *Spec) OutputKey(point, replica int) store.Key {
+	return store.Key{Kind: "out", Fp: sp.storeFingerprint(point), Seed: sp.BaseSeed,
+		Point: point, Replica: replica}
 }
 
 // AggregateKey is the store key of one point's aggregate artifact; the
 // replica slot carries the replica count (an aggregate over fewer
 // replicas is a different result).
-func (sp *Spec) AggregateKey(scenarioIdx int) store.Key {
-	return store.Key{Kind: "agg", Fp: sp.storeFingerprint(scenarioIdx), Seed: sp.BaseSeed,
-		Point: scenarioIdx, Replica: sp.Replicas}
+func (sp *Spec) AggregateKey(point int) store.Key {
+	return store.Key{Kind: "agg", Fp: sp.storeFingerprint(point), Seed: sp.BaseSeed,
+		Point: point, Replica: sp.Replicas}
 }
 
 // memoReplica consults the store for a finished replica. A verified hit
@@ -80,8 +80,8 @@ func publishReplica(st *store.Store, key string, res *ReplicaResult) {
 
 // memoAggregate consults the store for a point's aggregate. The artifact
 // does not carry the point name (two sweeps may name the same physics
-// differently); the caller's scenario name is stamped on the way out.
-func memoAggregate(st *store.Store, key store.Key, scenario string, quantities []string) (*Aggregate, bool) {
+// differently); the caller's point name is stamped on the way out.
+func memoAggregate(st *store.Store, key store.Key, point string, quantities []string) (*Aggregate, bool) {
 	data, _, ok := st.Get(key.ID())
 	if !ok {
 		return nil, false
@@ -91,7 +91,7 @@ func memoAggregate(st *store.Store, key store.Key, scenario string, quantities [
 		st.Reject(key.ID())
 		return nil, false
 	}
-	agg.Scenario = scenario
+	agg.Scenario = point
 	return agg, true
 }
 

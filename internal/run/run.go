@@ -1,13 +1,21 @@
-// Package run is the run-orchestration layer over the reference
-// backends. An ensemble or parameter sweep is a two-level job graph:
-// replica simulations fan out, and each point's aggregation fans in.
-// The package holds the one executor for it, the job core (core.go): a
+// Package run schedules and stores sweeps; it runs no simulation
+// itself. An ensemble or parameter sweep is a two-level job graph:
+// replica jobs fan out, and each point's aggregation fans in. The
+// package holds the one executor for it, the job core (core.go): a
 // lease state machine that registers sweeps, memoizes them against the
 // result store, dispatches jobs in (point, replica) order under a pool
 // bound, fences stale leases, retries or fails jobs, and fans each
 // point in once its replicas are done. Run drives the core in process
-// with a pool of goroutines; the distributed coordinator
-// (internal/coord) puts the same core behind its HTTP protocol.
+// with a pool of goroutines and a job function supplied by its caller
+// (the public dsmc package, which builds every replica on its
+// Simulation); the distributed coordinator (internal/coord) puts the
+// same core behind its HTTP protocol.
+//
+// The package sees a point only by name and trajectory fingerprint: a
+// hash of everything that determines a replica's bits apart from its
+// seed. The fingerprint keys the result store (memo.go); the fan-in
+// merges replica outputs (agg.go); FileCkptStore persists a job's
+// checkpoint bytes, whose contents only the job function reads.
 //
 // This is the outer level of parallelism the paper's single
 // hand-launched runs lack: DSMC answers are statistical, so the
@@ -17,13 +25,11 @@
 // bandwidth-bound.
 //
 // Determinism: every job derives its seed from the spec's base seed
-// (rng.JobSeed — collision-free by construction), jobs never share
-// mutable state, and a point's fan-in merges replica results strictly in
-// index order, so a sweep's aggregates are bit-identical for any pool
-// size and any completion order. With a checkpoint directory set, jobs
-// persist engine + domain + accumulator state every few steps
-// (internal/ckpt) and resume exactly: a killed and restarted sweep
-// produces the same bits as an uninterrupted one.
+// (JobSeed, collision-free by construction), jobs never share mutable
+// state, and a point's fan-in merges replica results strictly in index
+// order, so a sweep's aggregates are bit-identical for any pool size and
+// any completion order, provided the job function is a pure function of
+// its job.
 package run
 
 import (
@@ -33,38 +39,44 @@ import (
 	"runtime"
 	"sync"
 
+	"dsmc/internal/rng"
 	"dsmc/internal/sample"
 	"dsmc/internal/store"
 )
 
-// Spec describes an ensemble or sweep: one or more scenarios, each run
+// Point is one sweep point as the scheduler sees it: a name for events
+// and results, and the trajectory fingerprint that keys its artifacts in
+// the result store.
+type Point struct {
+	Name string
+	// Fp hashes everything that determines a replica's trajectory apart
+	// from its seed: the step budget and the point's physics.
+	Fp uint64
+}
+
+// Spec describes an ensemble or sweep: one or more points, each run
 // Replicas times. The zero value is not runnable; Validate reports why.
 type Spec struct {
 	// Name labels the sweep in events and results.
 	Name string
-	// Scenarios are the sweep points (one scenario = a plain ensemble).
-	Scenarios []Scenario
+	// Points are the sweep points (one point = a plain ensemble).
+	Points []Point
 	// Quantities are the sampled quantity slugs (sample.Q*) each replica
 	// derives from its one-pass moment accumulation and each aggregate
 	// carries per-cell statistics for; empty defaults to density alone.
 	Quantities []string
-	// Replicas is the number of independent replicas per scenario.
+	// Replicas is the number of independent replicas per point.
 	Replicas int
 	// WarmSteps runs before sampling starts; SampleSteps are accumulated.
 	WarmSteps, SampleSteps int
-	// BaseSeed seeds the per-job derivation (rng.JobSeed).
+	// BaseSeed seeds the per-job derivation (JobSeed).
 	BaseSeed uint64
-	// Pool bounds the number of concurrently running simulations;
-	// 0 selects runtime.NumCPU(). Each simulation runs with its own
-	// configured Workers (default 1 when orchestrating, so the outer and
-	// inner parallelism multiply rather than oversubscribe).
+	// Pool bounds the number of concurrently running jobs; 0 selects
+	// runtime.NumCPU().
 	Pool int
-	// CheckpointDir, when set, makes jobs resumable: each persists its
-	// state there every CheckpointEvery steps.
+	// CheckpointDir, when set, gives every job a FileCkptStore in that
+	// directory.
 	CheckpointDir string
-	// CheckpointEvery is the step interval between job checkpoints
-	// (default 50 when a directory is set).
-	CheckpointEvery int
 	// Results, when set, memoizes the sweep against a content-addressed
 	// result store: every replica and aggregate node consults the store
 	// before computing (a verified hit skips the work entirely) and
@@ -75,8 +87,8 @@ type Spec struct {
 
 // Validate reports spec errors.
 func (sp *Spec) Validate() error {
-	if len(sp.Scenarios) == 0 {
-		return fmt.Errorf("run: spec has no scenarios")
+	if len(sp.Points) == 0 {
+		return fmt.Errorf("run: spec has no points")
 	}
 	if sp.Replicas <= 0 {
 		return fmt.Errorf("run: Replicas must be positive")
@@ -92,18 +104,15 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("run: unknown quantity %q", q)
 		}
 	}
-	seen := make(map[string]bool, len(sp.Scenarios))
-	for i, sc := range sp.Scenarios {
-		if sc.Name == "" {
-			return fmt.Errorf("run: scenario %d has no name", i)
+	seen := make(map[string]bool, len(sp.Points))
+	for i, pt := range sp.Points {
+		if pt.Name == "" {
+			return fmt.Errorf("run: point %d has no name", i)
 		}
-		if seen[sc.Name] {
-			return fmt.Errorf("run: duplicate scenario name %q", sc.Name)
+		if seen[pt.Name] {
+			return fmt.Errorf("run: duplicate point name %q", pt.Name)
 		}
-		seen[sc.Name] = true
-		if err := sc.validate(); err != nil {
-			return fmt.Errorf("run: scenario %q: %w", sc.Name, err)
-		}
+		seen[pt.Name] = true
 	}
 	return nil
 }
@@ -119,79 +128,30 @@ func (sp *Spec) quantities() []string {
 // JobName is the canonical ID of one replica job in the core and in
 // every event, so distributed runs and local runs report identical job
 // tables.
-func JobName(scenario string, replica int) string {
-	return fmt.Sprintf("%s/r%03d", scenario, replica)
+func JobName(point string, replica int) string {
+	return fmt.Sprintf("%s/r%03d", point, replica)
 }
 
-// AggregateName is the canonical ID of a scenario's fan-in in events.
-func AggregateName(scenario string) string { return scenario + "/aggregate" }
+// AggregateName is the canonical ID of a point's fan-in in events.
+func AggregateName(point string) string { return point + "/aggregate" }
 
-// JobIO carries the side channels of a single-job execution: the
-// checkpoint store (nil disables checkpointing), the step interval
-// between checkpoints, the progress observer, and the per-step trace
-// observer (the flight-recorder feed; called on the stepping
-// goroutine after every step with that step's per-phase wall times in
-// nanoseconds and the particle count).
-type JobIO struct {
-	Ckpt      CkptStore
-	Every     int
-	Progress  func(done, total int)
-	StepTrace func(step int, phaseNs [4]int64, particles int)
-	// Results, when set, memoizes the job: a verified store hit returns
-	// the finished output without stepping, a miss computes and
-	// publishes it.
-	Results *store.Store
+// JobSeed derives the simulation seed of (point, replica) from the
+// spec's base seed; see rng.JobSeed for the non-collision argument. The
+// job index packs the point into the high word so sweeps of any
+// practical width cannot overlap.
+func JobSeed(base uint64, point, replica int) uint64 {
+	return rng.JobSeed(base, uint64(point)<<32|uint64(uint32(replica)))
 }
 
-// RunJob executes exactly one replica job of a validated spec — the
-// distributed-execution entry. A coordinator enumerates the (scenario,
-// replica) pairs; pull-workers call RunJob with a checkpoint store that
-// uploads to the coordinator. The seed derivation, stepping loop and
-// checkpoint codec are the very functions the in-process Run path uses,
-// so a job executed remotely — or re-executed elsewhere after a worker
-// loss, resuming from the last uploaded checkpoint — contributes bits
-// identical to the never-failed local run.
-func RunJob(ctx context.Context, sp Spec, scenarioIdx, replica int, io JobIO) (*ReplicaResult, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if scenarioIdx < 0 || scenarioIdx >= len(sp.Scenarios) {
-		return nil, fmt.Errorf("run: scenario index %d out of range (%d scenarios)", scenarioIdx, len(sp.Scenarios))
-	}
-	if replica < 0 || replica >= sp.Replicas {
-		return nil, fmt.Errorf("run: replica %d out of range (%d replicas)", replica, sp.Replicas)
-	}
-	ck := jobCkpt{store: io.Ckpt, every: io.Every}
-	if io.Results != nil {
-		if res, ok := memoReplica(io.Results, sp.OutputKey(scenarioIdx, replica).ID()); ok {
-			if io.Progress != nil {
-				total := sp.WarmSteps + sp.SampleSteps
-				io.Progress(total, total)
-			}
-			return res, nil
-		}
-	}
-	seed := jobSeed(sp.BaseSeed, scenarioIdx, replica)
-	res, err := runReplica(ctx, sp.Scenarios[scenarioIdx], sp.quantities(), seed, sp.WarmSteps, sp.SampleSteps, ck, io.Progress, io.StepTrace)
-	if err != nil {
-		return nil, err
-	}
-	if io.Results != nil {
-		publishReplica(io.Results, sp.OutputKey(scenarioIdx, replica).ID(), res)
-	}
-	return res, nil
-}
-
-// AggregateScenario fans in one scenario's replica results — results
-// must be indexed by replica and fully populated — with the identical
+// AggregatePoint fans in one point's replica results — results must be
+// indexed by replica and fully populated — with the identical
 // index-order Welford merge the in-process fan-in runs, so a
 // distributed sweep's aggregates are bit-identical to the local run's.
-func (sp *Spec) AggregateScenario(scenarioIdx int, results []*ReplicaResult) *Aggregate {
-	return aggregate(sp.Scenarios[scenarioIdx].Name, sp.quantities(), results)
+func (sp *Spec) AggregatePoint(point int, results []*ReplicaResult) *Aggregate {
+	return aggregate(sp.Points[point].Name, sp.quantities(), results)
 }
 
-// Result is a completed sweep: one aggregate per scenario, in scenario
-// order.
+// Result is a completed sweep: one aggregate per point, in point order.
 type Result struct {
 	Name       string       `json:"name"`
 	Aggregates []*Aggregate `json:"aggregates"`
@@ -230,18 +190,24 @@ type Event struct {
 	Err        string `json:"err,omitempty"`
 }
 
-// Run executes the spec in process and returns the per-scenario
-// aggregates. onEvent, when non-nil, observes progress; calls are
-// serialized and all of them happen before Run returns.
+// JobFunc executes one replica job. ck, when non-nil, is where the job
+// persists and resumes its state; progress observes (stepsDone,
+// stepsTotal). A job that sees ctx cancelled returns ctx.Err().
+type JobFunc func(ctx context.Context, j Job, ck CkptStore, progress func(done, total int)) (*ReplicaResult, error)
+
+// Run executes the spec in process, running every job through job, and
+// returns the per-point aggregates. onEvent, when non-nil, observes
+// progress; calls are serialized and all of them happen before Run
+// returns.
 //
 // Run is the degenerate case of the job core: it registers the sweep
 // with a private core and starts Pool goroutines that each take jobs
 // until none are pending. Leases never expire, because an in-process
 // job is only lost with the process, and each job gets one attempt,
 // because a local error is deterministic. A failed job cancels the jobs
-// still running; cancellation checkpoints every in-flight job and
-// returns an error wrapping ctx.Err().
-func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
+// still running, and Run returns an error wrapping the job's; a
+// cancelled ctx makes Run return an error wrapping ctx.Err().
+func Run(ctx context.Context, sp Spec, job JobFunc, onEvent func(Event)) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
@@ -262,7 +228,7 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 		cfg.OnEvent = func(_ string, e Event) { onEvent(e) }
 	}
 	core := NewCore(cfg)
-	aggs := make([]*Aggregate, len(sp.Scenarios))
+	aggs := make([]*Aggregate, len(sp.Points))
 	ended := false
 	var failure error
 	core.Add(Sweep{
@@ -285,7 +251,7 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 				if l == nil {
 					return
 				}
-				sp.runLeased(jobCtx, core, l)
+				sp.runLeased(jobCtx, core, l, job)
 			}
 		}()
 	}
@@ -302,15 +268,14 @@ func Run(ctx context.Context, sp Spec, onEvent func(Event)) (*Result, error) {
 // runLeased executes one leased job in process and reports its progress
 // and outcome to the core. Stale-lease answers need no handling: a
 // lease is only revoked once the sweep has failed.
-func (sp *Spec) runLeased(ctx context.Context, core *Core, l *Lease) {
+func (sp *Spec) runLeased(ctx context.Context, core *Core, l *Lease, job JobFunc) {
 	j := l.Job
-	var ck jobCkpt
+	var ck CkptStore
 	if sp.CheckpointDir != "" {
-		ck = jobCkpt{store: FileCkptStore{Path: jobCkptPath(sp.CheckpointDir, j.Point, j.Replica)}, every: sp.CheckpointEvery}
+		ck = FileCkptStore{Path: jobCkptPath(sp.CheckpointDir, j.Point, j.Replica)}
 	}
 	progress := func(done, _ int) { core.Heartbeat(l.Sweep, j.ID, l.LeaseID, done) }
-	res, err := runReplica(ctx, sp.Scenarios[j.Point], sp.quantities(), jobSeed(sp.BaseSeed, j.Point, j.Replica),
-		sp.WarmSteps, sp.SampleSteps, ck, progress, nil)
+	res, err := job(ctx, j, ck, progress)
 	if err != nil {
 		core.Fail(l.Sweep, j.ID, l.LeaseID, err)
 		return
@@ -321,7 +286,7 @@ func (sp *Spec) runLeased(ctx context.Context, core *Core, l *Lease) {
 // fanIn produces a point's aggregate: served from the store when it
 // holds one, else merged in replica-index order and published.
 func (sp *Spec) fanIn(pt int, outs []*ReplicaResult) *Aggregate {
-	name, qs := sp.Scenarios[pt].Name, sp.quantities()
+	name, qs := sp.Points[pt].Name, sp.quantities()
 	if sp.Results != nil {
 		if agg, ok := memoAggregate(sp.Results, sp.AggregateKey(pt), name, qs); ok {
 			return agg

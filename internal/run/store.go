@@ -2,7 +2,9 @@ package run
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // CkptStore is where a replica job persists its checkpoint bytes. The
@@ -11,7 +13,7 @@ import (
 // atomic from the reader's point of view: Load returns either a
 // previously completed Save or nothing, never a torn prefix. (The
 // checksum trailer inside the checkpoint catches media that break this
-// promise anyway — loadCheckpoint falls back to a fresh run.)
+// promise anyway — the job falls back to a fresh run.)
 type CkptStore interface {
 	// Load returns the last saved checkpoint, or nil when none exists.
 	Load() ([]byte, error)
@@ -70,4 +72,10 @@ func (s FileCkptStore) Discard() error {
 		return nil
 	}
 	return err
+}
+
+// jobCkptPath names a job's checkpoint file inside a sweep's checkpoint
+// directory.
+func jobCkptPath(dir string, point, replica int) string {
+	return filepath.Join(dir, fmt.Sprintf("job-s%03d-r%03d.ckpt", point, replica))
 }

@@ -11,7 +11,7 @@ import (
 // then the 2D domain state — plunger position, reservoir contents, and
 // the serial RNG stream that feeds reservoir deposits and the plunger
 // refill. Callers that embed a simulation inside a larger checkpoint
-// (internal/run wraps job progress around one) use this; standalone
+// (a sweep replica job wraps its progress around one) use this; standalone
 // checkpoints go through WriteCheckpoint.
 func (s *SimOf[F]) CheckpointSections(w *ckpt.Writer) {
 	ckpt.WriteEngine(w, s.eng)

@@ -104,17 +104,23 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Theory returns the exact piston-shock solution: the shock Mach number
-// Ms satisfies up/a1 = (2/(γ+1))·(Ms − 1/Ms); the shock speed is Ms·a1
-// and the density ratio follows Rankine–Hugoniot at Ms.
-func (c *Config) Theory() (shockSpeed, densityRatio float64) {
+// PistonShock solves the exact piston-driven normal shock: the shock
+// Mach number Ms satisfies up/a1 = (2/(γ+1))·(Ms − 1/Ms), where a1 is
+// the quiescent gas's sound speed, also returned. The shock speed is
+// Ms·a1.
+func (c *Config) PistonShock() (ms, a1 float64) {
 	gamma := c.model().Gamma()
-	a1 := c.Cm * math.Sqrt(gamma/2)
-	up := c.PistonSpeed
+	a1 = c.Cm * math.Sqrt(gamma/2)
 	// Solve Ms − 1/Ms = up(γ+1)/(2a1); quadratic in Ms.
-	k := up * (gamma + 1) / (2 * a1)
-	ms := (k + math.Sqrt(k*k+4)) / 2
-	return ms * a1, phys.RHDensityRatio(ms, gamma)
+	k := c.PistonSpeed * (gamma + 1) / (2 * a1)
+	return (k + math.Sqrt(k*k+4)) / 2, a1
+}
+
+// Theory returns the piston-shock speed and the Rankine–Hugoniot
+// density ratio at the shock Mach number (see PistonShock).
+func (c *Config) Theory() (shockSpeed, densityRatio float64) {
+	ms, a1 := c.PistonShock()
+	return ms * a1, phys.RHDensityRatio(ms, c.model().Gamma())
 }
 
 func (c *Config) model() molec.Model {

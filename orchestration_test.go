@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -237,6 +239,32 @@ func TestRunEnsemblePublic(t *testing.T) {
 	}
 	if res.NFlow.Mean <= 0 {
 		t.Errorf("mean flow count %v, want positive", res.NFlow.Mean)
+	}
+}
+
+// TestRunSweepJobRejectsResultStoreDir: a single job is never
+// memoized — the scheduler that dispatches it owns the store — so a spec
+// naming a result store is refused, by field name, before anything runs
+// or any directory is created.
+func TestRunSweepJobRejectsResultStoreDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	spec := dsmc.SweepSpec{
+		Scenario:       scenarioSpec(t, smallPublicConfig()),
+		Replicas:       1,
+		WarmSteps:      2,
+		SampleSteps:    2,
+		ResultStoreDir: dir,
+	}
+	_, err := dsmc.RunSweepJob(context.Background(), spec, 0, 0, dsmc.SweepJobIO{})
+	if err == nil || !strings.Contains(err.Error(), "ResultStoreDir") {
+		t.Fatalf("got error %v, want one naming ResultStoreDir", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("the result store directory was created (stat: %v)", err)
+	}
+	spec.ResultStoreDir = ""
+	if _, err := dsmc.RunSweepJob(context.Background(), spec, 0, 0, dsmc.SweepJobIO{}); err != nil {
+		t.Fatalf("the same spec without a store failed: %v", err)
 	}
 }
 

@@ -55,16 +55,32 @@ type Sampling struct {
 // same worker-count bit-identity contract as the simulation itself. Use
 // the returned Sampling's Field to derive quantity fields.
 func (s *Simulation) Sample(steps int) *Sampling {
-	acc := sample.NewAccumulatorCells(s.p.cells(), s.p.vols, s.p.nInf)
+	sp := s.newSampling()
 	for k := 0; k < steps; k++ {
 		s.Step()
-		if s.ref != nil {
-			s.ref.SampleInto(acc)
-		} else {
-			acc.AddCounts(s.cm.CellCounts())
-		}
+		s.accumulate(sp)
 	}
-	return &Sampling{p: s.p, acc: acc, steps: steps, countsOnly: s.ref == nil}
+	return sp
+}
+
+// newSampling starts an empty sampling pass over the simulation's cells.
+func (s *Simulation) newSampling() *Sampling {
+	return &Sampling{
+		p:          s.p,
+		acc:        sample.NewAccumulatorCells(s.p.cells(), s.p.vols, s.p.nInf),
+		countsOnly: s.ref == nil,
+	}
+}
+
+// accumulate adds the current state's moments to a sampling pass as one
+// more averaged step.
+func (s *Simulation) accumulate(sp *Sampling) {
+	if s.ref != nil {
+		s.ref.SampleInto(sp.acc)
+	} else {
+		sp.acc.AddCounts(s.cm.CellCounts())
+	}
+	sp.steps++
 }
 
 // Steps returns the number of time steps averaged into the sampling.

@@ -62,14 +62,13 @@ type plan struct {
 	sim  *sim.Config
 	sim3 *sim3.Config
 
-	nInf        float64    // freestream particles per unit cell volume
-	cm          float64    // freestream most-probable speed (normaliser)
-	gamma       float64    // ratio of specific heats
-	mach        float64    // freestream Mach number (0 for quiescent gas)
-	lambda      float64    // freestream mean free path
-	pistonSpeed float64    // 3D shock tube only
-	wedge       *WedgeSpec // primary body, for the Field analysis
-	vols        []float64  // per-cell gas volumes (nil = unit, 3D)
+	nInf   float64    // freestream particles per unit cell volume
+	cm     float64    // freestream most-probable speed (normaliser)
+	gamma  float64    // ratio of specific heats
+	mach   float64    // freestream Mach number (0 for quiescent gas)
+	lambda float64    // freestream mean free path
+	wedge  *WedgeSpec // primary body, for the Field analysis
+	vols   []float64  // per-cell gas volumes (nil = unit, 3D)
 }
 
 // cells returns the plan's total cell count.
@@ -404,13 +403,12 @@ func (s ShockTube3D) lower() (*plan, error) {
 	return &plan{
 		kind: s.Kind(),
 		nx:   s.GridNX, ny: s.GridNY, nz: s.GridNZ,
-		precision:   s.Precision,
-		sim3:        &ic,
-		nInf:        s.ParticlesPerCell,
-		cm:          s.ThermalSpeed,
-		gamma:       m.Gamma(),
-		lambda:      s.MeanFreePath,
-		pistonSpeed: s.PistonSpeed,
+		precision: s.Precision,
+		sim3:      &ic,
+		nInf:      s.ParticlesPerCell,
+		cm:        s.ThermalSpeed,
+		gamma:     m.Gamma(),
+		lambda:    s.MeanFreePath,
 	}, nil
 }
 
